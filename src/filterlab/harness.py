@@ -2,8 +2,11 @@
 
 The scenario is a planar constant-velocity track observed through noisy
 position measurements, run under one of three noise regimes. Trials are
-independent and deterministic given (seed, trial id); aggregation is an
-ordered fold over trial ids, so parallel execution cannot change output.
+independent and deterministic given (seed, trial id): each is simulated
+from its own stream, and the filters then advance a stack of trials one
+update at a time through their batched kernels, whose rows do not depend
+on each other. Aggregation is an ordered fold over trial ids, so neither
+the stacking nor parallel execution over chunks of trials can change output.
 """
 
 from __future__ import annotations
@@ -17,19 +20,24 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .baselines import KforConfig, PdafConfig, kfor_update, pdaf_update
-from .errors import NumericalError
-from .kalman import kf_update, pcrlb_recursion
+# predict and the *_update names are unused here: the per-measurement updates
+# stay importable from this module because the benchmark's tracer
+# (perfbench/tracing.py) wraps them here. The runner calls the batched
+# kernels, so those spans read 0 in a traced run.
+from .baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
+from .kalman import kf_batch, kf_update, pcrlb_recursion
 from .metrics import consistency_interval, detect_divergence, RunSummary, TrialMetrics
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
-from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_update
+from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
 from .specfun import RngStream, reg_lower_inc_gamma, sample_mvn
 from .statespace import (
-    GaussianBelief,
     LinearModel,
     cv_process_noise,
     cv_transition,
     predict,
+    predict_batch,
+    rowdot,
+    rowwise,
     two_point_init,
 )
 
@@ -86,6 +94,20 @@ class ScenarioConfig:
             raise ValueError("k_star must satisfy 0 < k_star < updates")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if len(self.x0) != STATE_DIM:
+            raise ValueError(f"x0 must have {STATE_DIM} entries")
+        for name in ("T", "r_bar", "r_out", "tau", "alpha", "beta"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.q >= 0.0:
+            raise ValueError("q must be nonnegative")
+        if not 0.0 <= self.p_out <= 1.0:
+            raise ValueError("p_out must lie in [0, 1]")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError("rho must lie in [0, 1)")
+        if not self.clutter_per_gate >= 0.0:
+            raise ValueError("clutter_per_gate must be nonnegative")
+        self.nvmf_config()   # validates epsilon and max_iterations
         # Keep selection in canonical order for stable output columns.
         self.filters = tuple(f for f in FILTER_ORDER if f in self.filters)
 
@@ -183,74 +205,105 @@ def simulate_truth(config: ScenarioConfig, rng: RngStream):
     return truth, z_minus1, z_0
 
 
-def _filter_step(name, belief, z, model, mixing, nvmf_cfg, kfor_cfg, pdaf_cfg, R):
-    if name == "kf":
-        post, _ = kf_update(belief, z, model.H, R)
-        return post
-    if name == "nvmf":
-        post, _ = nvmf_update(belief, z, model, mixing, nvmf_cfg)
-        return post
-    if name == "pdaf":
-        return pdaf_update(belief, z, model.H, R, pdaf_cfg)
-    post, _ = kfor_update(belief, z, model.H, R, kfor_cfg)
-    return post
+def _filter_updates(config: ScenarioConfig, model: LinearModel) -> dict:
+    """(kernel, *args) per filter, called as kernel(mean, cov, z, *args):
+    the selected filters plus the reference filter, which always runs, since
+    its squared-error envelope defines track loss for every filter."""
+    H = model.H
+    R = config.r_bar * np.eye(MEAS_DIM)
+    p_gate = reg_lower_inc_gamma(MEAS_DIM / 2.0, config.gate**2 / 2.0)
+    args = {
+        "kf": (kf_batch, H, R),
+        "nvmf": (nvmf_batch, model, config.mixing(), config.nvmf_config()),
+        "pdaf": (pdaf_batch, H, R,
+                 PdafConfig(config.p_detect, config.gate, config.clutter_density, p_gate=p_gate)),
+        "kfor": (kfor_batch, H, R, KforConfig(config.tau, config.w)),
+    }
+    names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]
+    return {f: args[f] for f in names}
+
+
+def _nees(err: np.ndarray, cov: np.ndarray):
+    """Normalized estimation error squared per row, and the rows whose
+    covariance could not be solved."""
+    solved, bad = rowwise(np.linalg.solve, cov, err[..., None])
+    return rowdot(err, solved[..., 0]), bad
+
+
+def run_trials(config: ScenarioConfig, trial_ids) -> list:
+    """Deterministic trials: simulate each from its own stream, then advance
+    every filter over the stack of trials one update at a time.
+
+    A filter that fails on a trial (a failed update, or a non-finite error
+    or NEES) is marked failed there from that update on, and that trial
+    drops out of the filter's stack; no other trial or filter is affected.
+    Each trial's numbers are the same whatever other trials share its stack.
+    """
+    ids = list(trial_ids)
+    N = len(ids)
+    K = config.updates
+    model = config.model()
+    H = model.H
+    R = config.r_bar * np.eye(MEAS_DIM)
+    regime = config.noise_regime()
+    truth = np.empty((N, K + 1, STATE_DIM))
+    measurements = np.empty((K, N, MEAS_DIM))
+    init_mean = np.empty((N, STATE_DIM))
+    init_cov = np.empty((N, STATE_DIM, STATE_DIM))
+    for j, trial_id in enumerate(ids):
+        rng = RngStream(config.seed, trial_id)
+        truth[j], z_minus1, z_0 = simulate_truth(config, rng)
+        for k in range(K):
+            measurements[k, j] = H @ truth[j, k + 1] + sample_noise(regime, rng)
+        init = two_point_init(z_0, z_minus1, config.T, R)
+        init_mean[j], init_cov[j] = init.mean, init.cov
+
+    updates = _filter_updates(config, model)
+    estimates = {f: np.full((N, K, STATE_DIM), np.nan) for f in updates}
+    cov_trace = {f: np.full((N, K), np.nan) for f in updates}
+    squared_error = {f: np.full((N, K), np.inf) for f in updates}
+    nees = {f: np.full((N, K), np.inf) for f in updates}
+    failed = {f: np.zeros(N, dtype=bool) for f in updates}
+    # Per filter: the trials still tracked, and their beliefs.
+    beliefs = {f: (np.arange(N), init_mean, init_cov) for f in updates}
+
+    with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
+        for k in range(K):
+            for f, (kernel, *args) in updates.items():
+                rows, mean, cov = beliefs[f]
+                if not rows.size:
+                    continue
+                mean, cov = predict_batch(mean, cov, model)
+                mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
+                err = mean - truth[rows, k + 1]
+                se = rowdot(err, err)
+                ne, singular = _nees(err, cov)
+                ok = (status == 0) & ~singular & np.isfinite(se) & np.isfinite(ne)
+                if not ok.all():
+                    failed[f][rows[~ok]] = True
+                    rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))
+                estimates[f][rows, k] = mean
+                cov_trace[f][rows, k] = np.trace(cov, axis1=-2, axis2=-1)
+                squared_error[f][rows, k] = se
+                nees[f][rows, k] = ne
+                beliefs[f] = rows, mean, cov
+
+    records = []
+    for j, trial_id in enumerate(ids):
+        records.append(TrialRecord(
+            trial_id,
+            {f: estimates[f][j] for f in updates},
+            {f: cov_trace[f][j] for f in updates},
+            {f: squared_error[f][j] for f in updates},
+            {f: nees[f][j] for f in updates},
+            failed={f: bool(failed[f][j]) for f in updates},
+        ))
+    return records
 
 
 def run_trial(config: ScenarioConfig, trial_id: int) -> TrialRecord:
-    """One deterministic trial: simulate, initialize, filter, record."""
-    rng = RngStream(config.seed, trial_id)
-    truth, z_minus1, z_0 = simulate_truth(config, rng)
-    regime = config.noise_regime()
-    model = config.model()
-    H = model.H
-    K = config.updates
-    measurements = np.empty((K, MEAS_DIM))
-    for k in range(K):
-        measurements[k] = H @ truth[k + 1] + sample_noise(regime, rng)
-
-    R = config.r_bar * np.eye(MEAS_DIM)
-    mixing = config.mixing()
-    nvmf_cfg = config.nvmf_config()
-    kfor_cfg = KforConfig(config.tau, config.w)
-    p_gate = reg_lower_inc_gamma(MEAS_DIM / 2.0, config.gate**2 / 2.0)
-    pdaf_cfg = PdafConfig(config.p_detect, config.gate, config.clutter_density, p_gate=p_gate)
-
-    # The reference filter always runs: its squared-error envelope defines
-    # track loss for every filter, selected or not.
-    names = tuple(f for f in FILTER_ORDER if f in set(config.filters) | {"kf"})
-    init = two_point_init(z_0, z_minus1, config.T, R)
-    beliefs = {f: GaussianBelief(init.mean.copy(), init.cov.copy()) for f in names}
-    estimates = {f: np.empty((K, STATE_DIM)) for f in names}
-    cov_trace = {f: np.empty(K) for f in names}
-    squared_error = {f: np.empty(K) for f in names}
-    nees = {f: np.empty(K) for f in names}
-    failed = {f: False for f in names}
-
-    for k in range(K):
-        z = measurements[k]
-        x_true = truth[k + 1]
-        for f in names:
-            if failed[f]:
-                continue
-            try:
-                pred = predict(beliefs[f], model)
-                post = _filter_step(f, pred, z, model, mixing,
-                                    nvmf_cfg, kfor_cfg, pdaf_cfg, R)
-            except (NumericalError, np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-                failed[f] = True
-                estimates[f][k:] = np.nan
-                cov_trace[f][k:] = np.nan
-                squared_error[f][k:] = np.inf
-                nees[f][k:] = np.inf
-                continue
-            beliefs[f] = post
-            err = post.mean - x_true
-            estimates[f][k] = post.mean
-            cov_trace[f][k] = np.trace(post.cov)
-            squared_error[f][k] = float(err @ err)
-            nees[f][k] = float(err @ np.linalg.solve(post.cov, err))
-
-    return TrialRecord(trial_id, estimates, cov_trace, squared_error, nees, failed=failed)
+    """One deterministic trial: a batch of one."""
+    return run_trials(config, [trial_id])[0]
 
 
 def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
@@ -275,12 +328,15 @@ def run_monte_carlo(config: ScenarioConfig):
     (exceeds the reference envelope in steady state) or fails numerically;
     lost-track counts are over all trials.
     """
-    ids = list(range(config.trials))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_run_trial_task, [(config, i) for i in ids]))
+    # Contiguous chunks of trial ids, one per worker; a trial's numbers do
+    # not depend on its chunk, so neither does the output.
+    chunks = [c for c in np.array_split(np.arange(config.trials), config.workers) if c.size]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            records = [rec for part in pool.map(run_trials, [config] * len(chunks), chunks)
+                       for rec in part]
     else:
-        records = [run_trial(config, i) for i in ids]
+        records = run_trials(config, chunks[0])
 
     names = tuple(f for f in FILTER_ORDER if f in set(config.filters) | {"kf"})
     usable = [rec for rec in records if not rec.failed["kf"]]
@@ -327,11 +383,6 @@ def run_monte_carlo(config: ScenarioConfig):
         kf_cov_trace=kf_trace,
     )
     return summary, records
-
-
-def _run_trial_task(args):
-    config, trial_id = args
-    return run_trial(config, trial_id)
 
 
 def emit_csv(records, summary: RunSummary, out_dir) -> list:

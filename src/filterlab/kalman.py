@@ -9,7 +9,17 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .statespace import GaussianBelief, LinearModel, symmetrize
+from .statespace import (
+    Failure,
+    GaussianBelief,
+    LinearModel,
+    finite_rows,
+    mark_failed,
+    matvec,
+    rowwise,
+    symmetrize,
+    update_one,
+)
 
 # Innovation covariances worse conditioned than this are treated as singular
 # rather than silently inverted.
@@ -34,23 +44,41 @@ def _innovation_cov(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
     return S
 
 
+def kf_batch(mean, cov, z, H, R):
+    """Covariance-form measurement update of a stack of beliefs.
+
+    R is one (m, m) covariance or one per row. An innovation covariance
+    that is not positive definite or worse conditioned than COND_LIMIT
+    fails its row. Returns (mean, cov, status, UpdateDiagnostics of stacks).
+    """
+    H = np.asarray(H, dtype=float)
+    R = np.asarray(R, dtype=float)
+    status = np.zeros(mean.shape[0], dtype=np.int8)
+    hp = H @ cov
+    S = symmetrize(hp @ H.T + R)
+    w, bad = rowwise(np.linalg.eigvalsh, S)
+    mark_failed(status, bad, Failure.NON_FINITE)
+    mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] > COND_LIMIT * w[:, 0]),
+                Failure.ILL_CONDITIONED)
+    gain_t, bad = rowwise(np.linalg.solve, S, hp)
+    mark_failed(status, bad, Failure.ILL_CONDITIONED)
+    gain = gain_t.swapaxes(-1, -2)
+    innovation = z - matvec(H, mean)
+    mean = mean + matvec(gain, innovation)
+    cov = symmetrize((np.eye(cov.shape[-1]) - gain @ H) @ cov)
+    mark_failed(status, ~(finite_rows(mean) & finite_rows(cov)), Failure.NON_FINITE)
+    return mean, cov, status, UpdateDiagnostics(innovation, S, gain)
+
+
 def kf_update(prior: GaussianBelief, z, H, R):
     """Measurement update in covariance form.
 
     Returns the posterior belief and the innovation/gain diagnostics. The
-    gain solve goes through a Cholesky factorization of the innovation
-    covariance; the posterior covariance is re-symmetrized.
+    gain solve goes through the innovation covariance after its eigenvalue
+    check; the posterior covariance is re-symmetrized.
     """
-    z = np.asarray(z, dtype=float)
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    P = prior.cov
-    S = _innovation_cov(P, H, R)
-    gain = scipy.linalg.solve(S, H @ P, assume_a="pos").T
-    innovation = z - H @ prior.mean
-    mean = prior.mean + gain @ innovation
-    cov = symmetrize((np.eye(P.shape[0]) - gain @ H) @ P)
-    return GaussianBelief(mean, cov), UpdateDiagnostics(innovation, S, gain)
+    post, d = update_one(kf_batch, prior, z, H, R)
+    return post, UpdateDiagnostics(d.innovation[0], d.innovation_cov[0], d.gain[0])
 
 
 def kf_information_update(prior: GaussianBelief, z, H, R):

@@ -25,9 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import CalibrationError, CovarianceCorrectionError, NumericalError
+from .errors import CalibrationError, CovarianceCorrectionError
 from .specfun import RngStream, inv_reg_lower_inc_gamma, log_gamma, sample_inverse_gamma
-from .statespace import GaussianBelief, LinearModel, symmetrize
+from .statespace import (
+    Failure,
+    GaussianBelief,
+    LinearModel,
+    finite_rows,
+    mark_failed,
+    matvec,
+    rowdot,
+    rowwise,
+    symmetrize,
+    update_one,
+)
 
 # Below this, the rank-one correction is considered degenerate and the update
 # falls back to the uncorrected covariance (flagged in the diagnostics).
@@ -66,6 +77,10 @@ class NvmfConfig:
 
 @dataclass
 class NvmfDiagnostics:
+    """What one update's EM and correction did. From nvmf_batch every field
+    holds one entry per row, and log_posterior_trace is (N, max_iterations
+    + 1), NaN past each row's last iteration."""
+
     iterations_used: int
     log_posterior_trace: np.ndarray
     final_psi: float
@@ -73,19 +88,41 @@ class NvmfDiagnostics:
     correction_denominator: float
     correction_fallback: bool = field(default=False)
 
+    def row(self, i: int) -> "NvmfDiagnostics":
+        """The diagnostics of row i of a batched update."""
+        iterations = int(self.iterations_used[i])
+        return NvmfDiagnostics(
+            iterations_used=iterations,
+            log_posterior_trace=self.log_posterior_trace[i, :iterations + 1],
+            final_psi=float(self.final_psi[i]),
+            final_phi=float(self.final_phi[i]),
+            correction_denominator=float(self.correction_denominator[i]),
+            correction_fallback=bool(self.correction_fallback[i]),
+        )
 
-def zeta(x, z, H, Rbar) -> float:
+
+# The closed forms below take one state, or a stack with a leading batch
+# axis (x (N, n), z (N, m), zeta_val (N,), P_inf (N, n, n), u (N, n)).
+# zeta and u_vector are thin wrappers that invert the shape matrix; the
+# update kernel inverts it once and calls _zeta and _u_vector directly.
+
+def zeta(x, z, H, Rbar):
     """Half squared Mahalanobis distance of the residual under the shape matrix."""
-    resid = np.asarray(z, dtype=float) - np.asarray(H, dtype=float) @ np.asarray(x, dtype=float)
-    return 0.5 * float(resid @ scipy.linalg.solve(Rbar, resid, assume_a="pos"))
+    return _zeta(x, z, H, np.linalg.inv(np.asarray(Rbar, dtype=float)))
 
 
-def psi(zeta_val: float, mixing: InverseGammaMixing, M: int) -> float:
+def _zeta(x, z, H, rb_inv):
+    resid = np.asarray(z, dtype=float) - matvec(np.asarray(H, dtype=float),
+                                                np.asarray(x, dtype=float))
+    return 0.5 * rowdot(resid, matvec(rb_inv, resid))
+
+
+def psi(zeta_val, mixing: InverseGammaMixing, M: int):
     """Conditional noise-variance estimate 1 / E[1/r | x, z]."""
     return (zeta_val + mixing.beta) / (M / 2.0 + mixing.alpha)
 
 
-def phi(zeta_val: float, mixing: InverseGammaMixing, M: int) -> float:
+def phi(zeta_val, mixing: InverseGammaMixing, M: int):
     """Conditional noise-variance spread 1 / sd[1/r | x, z]."""
     return (zeta_val + mixing.beta) / math.sqrt(M / 2.0 + mixing.alpha)
 
@@ -109,13 +146,19 @@ def log_posterior(x, prior: GaussianBelief, z, H, Rbar, mixing: InverseGammaMixi
     return -0.5 * quad - half * math.log1p(zeta(x, z, H, Rbar) / mixing.beta)
 
 
-def u_vector(x_hat, z, H, Rbar, phi_val: float) -> np.ndarray:
+def u_vector(x_hat, z, H, Rbar, phi_val):
     """Scaled residual gradient H' (phi Rbar)^-1 (H x - z) used by the correction."""
-    if phi_val <= 0.0:
+    phi_val = np.asarray(phi_val, dtype=float)
+    if np.any(phi_val <= 0.0):
         raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
+    return _u_vector(x_hat, z, H, np.linalg.inv(np.asarray(Rbar, dtype=float)), phi_val)
+
+
+def _u_vector(x_hat, z, H, rb_inv, phi_val):
+    # phi_val > 0 always holds for zeta >= 0 and beta > 0.
     H = np.asarray(H, dtype=float)
-    resid = H @ np.asarray(x_hat, dtype=float) - np.asarray(z, dtype=float)
-    return H.T @ scipy.linalg.solve(Rbar, resid, assume_a="pos") / phi_val
+    resid = matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
+    return matvec(H.T, matvec(rb_inv, resid)) / phi_val[..., None]
 
 
 def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -126,102 +169,145 @@ def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
     information matrix would not be positive definite.
     """
     P_inf = np.asarray(P_inf, dtype=float)
-    u = np.asarray(u, dtype=float)
-    pu = P_inf @ u
-    denom = 1.0 - float(u @ pu)
-    if denom <= 0.0:
-        raise CovarianceCorrectionError(denom)
-    return symmetrize(P_inf + np.outer(pu, pu) / denom)
+    pu, denom = _correction_denominator(P_inf, np.asarray(u, dtype=float))
+    if np.any(denom <= 0.0):
+        raise CovarianceCorrectionError(float(np.min(denom)))
+    return _corrected(P_inf, pu, denom)
 
 
-def nvmf_update(prior: GaussianBelief, z, model: LinearModel, mixing: InverseGammaMixing,
-                config: NvmfConfig):
-    """One measurement update: EM to the MAP state, then covariance correction.
+def _correction_denominator(P_inf, u):
+    pu = matvec(P_inf, u)
+    return pu, 1.0 - rowdot(u, pu)
 
-    The prior is the predicted belief; the EM sequence starts at its mean.
-    Each iteration re-solves the Kalman update from the same predicted belief
-    with noise covariance psi(x_i) * Rbar, and the log posterior is tracked
-    for the termination test (or ignored in fixed-iteration mode). A
-    non-increasing log posterior step beyond tolerance raises, since the
-    recursion guarantees monotonicity.
+
+def _corrected(P_inf, pu, denom):
+    return symmetrize(P_inf + pu[..., :, None] * pu[..., None, :] / denom[..., None, None])
+
+
+def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
+               config: NvmfConfig):
+    """Measurement update of a stack of predicted beliefs: EM to each row's
+    MAP state, then the covariance correction.
+
+    Each row's EM sequence starts at its predicted mean. Every iteration
+    re-solves the Kalman update from the same predicted belief with noise
+    covariance psi(x_i) * Rbar and tracks the log posterior; a row stops
+    when its increase falls below epsilon (never, in fixed-iteration mode)
+    or at max_iterations. A decrease beyond tolerance fails the row, since
+    the recursion guarantees monotonicity. Rows leave the loop one by one,
+    so each keeps its own stopping point.
+
+    Returns (mean, cov, status, NvmfDiagnostics of per-row arrays).
     """
-    z = np.asarray(z, dtype=float)
     H = model.H
-    Rbar = model.Rbar
-    x_pred = prior.mean
-    P = prior.cov
-    n = x_pred.shape[0]
-    m = z.shape[0]
+    rb_inv = np.linalg.inv(model.Rbar)
+    N, n = mean.shape
+    m = H.shape[0]
     half = m / 2.0 + mixing.alpha
+    status = np.zeros(N, dtype=np.int8)
 
-    # Factor the fixed matrices once; the EM loop only re-solves the small
-    # innovation system.
-    p_chol = scipy.linalg.cho_factor(P, lower=True)
-    rb_inv = scipy.linalg.solve(Rbar, np.eye(m), assume_a="pos")
-    hp = H @ P
+    p_chol, bad = rowwise(np.linalg.cholesky, cov)
+    mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
+    p_chol_inv, bad = rowwise(np.linalg.inv, p_chol)
+    mark_failed(status, bad | ~finite_rows(z), Failure.NON_FINITE)
+    hp = H @ cov
     a_part = hp @ H.T            # H P H'
-    innovation = z - H @ x_pred
+    innovation = z - matvec(H, mean)
 
-    def zeta_at(x):
-        resid = z - H @ x
-        return 0.5 * float(resid @ rb_inv @ resid)
+    def log_post(x_pred, l_inv, x, zeta_x):
+        w = matvec(l_inv, x - x_pred)
+        return -0.5 * rowdot(w, w) - half * np.log1p(zeta_x / mixing.beta)
 
-    def lam(x, zeta_x):
-        dx = x - x_pred
-        quad = float(dx @ scipy.linalg.cho_solve(p_chol, dx))
-        return -0.5 * quad - half * math.log1p(zeta_x / mixing.beta)
+    zeta_x = _zeta(mean, z, H, rb_inv)
+    trace = np.full((N, config.max_iterations + 1), np.nan)
+    trace[:, 0] = log_post(mean, p_chol_inv, mean, zeta_x)
+    iterations = np.zeros(N, dtype=np.int64)
+    x_out = mean.copy()
+    zeta_out = zeta_x.copy()
+    psi_out = np.full(N, np.nan)
+    gain_out = np.zeros((N, n, m))
 
-    x = x_pred
-    zeta_x = zeta_at(x)
-    trace = [lam(x, zeta_x)]
-    psi_val = float("nan")
-    gain = None
-    for _ in range(config.max_iterations):
-        psi_val = (zeta_x + mixing.beta) / half
-        S = symmetrize(a_part + psi_val * Rbar)
-        gain = scipy.linalg.solve(S, hp, assume_a="pos").T
-        x = x_pred + gain @ innovation
-        zeta_x = zeta_at(x)
-        lam_new = lam(x, zeta_x)
-        delta = lam_new - trace[-1]
-        if delta < -_MONOTONICITY_TOL:
-            raise NumericalError(f"log posterior decreased by {-delta:.3e} during EM")
-        trace.append(lam_new)
-        if not config.fixed_iteration_mode and delta < config.epsilon:
+    # Working set: the rows still iterating, compacted as rows leave.
+    rows = np.flatnonzero(status == 0)
+    state = [mean, z, hp, a_part, innovation, p_chol_inv, zeta_x, trace[:, 0]]
+    if rows.size < N:
+        state = [a[rows] for a in state]
+    for it in range(1, config.max_iterations + 1):
+        if not rows.size:
             break
+        x_pred, z_r, hp_r, a_r, innov_r, l_inv_r, zeta_r, lam_r = state
+        psi_r = psi(zeta_r, mixing, m)
+        S = symmetrize(a_r + psi_r[:, None, None] * model.Rbar)
+        _, not_pd = rowwise(np.linalg.cholesky, S)
+        gain_t, singular = rowwise(np.linalg.solve, S, hp_r)
+        gain = gain_t.swapaxes(-1, -2)
+        x = x_pred + matvec(gain, innov_r)
+        zeta_r = _zeta(x, z_r, H, rb_inv)
+        lam = log_post(x_pred, l_inv_r, x, zeta_r)
+        delta = lam - lam_r
+        trace[rows, it] = lam
+        state[6:] = [zeta_r, lam]
 
-    p_inf = symmetrize((np.eye(n) - gain @ H) @ P)
-    phi_val = (zeta_x + mixing.beta) / math.sqrt(half)
-    u = H.T @ (rb_inv @ (H @ x - z)) / phi_val
-    pu = p_inf @ u
-    denom = 1.0 - float(u @ pu)
+        failed = not_pd | singular | ~(delta >= -_MONOTONICITY_TOL)
+        done = failed | (it == config.max_iterations)
+        if not config.fixed_iteration_mode:
+            done |= delta < config.epsilon
+        if done.any():
+            if failed.any():
+                row_status = np.zeros(rows.size, dtype=np.int8)
+                mark_failed(row_status, not_pd | singular, Failure.NOT_POSITIVE_DEFINITE)
+                mark_failed(row_status, ~np.isfinite(lam), Failure.NON_FINITE)
+                mark_failed(row_status, failed, Failure.EM_NOT_MONOTONE)
+                status[rows] = row_status
+            out = rows[done]
+            iterations[out] = it
+            x_out[out] = x[done]
+            zeta_out[out] = zeta_r[done]
+            psi_out[out] = psi_r[done]
+            gain_out[out] = gain[done]
+            if done.all():
+                break
+            rows = rows[~done]
+            state = [a[~done] for a in state]
 
+    p_inf = symmetrize((np.eye(n) - gain_out @ H) @ cov)
+    phi_val = phi(zeta_out, mixing, m)
+    u = _u_vector(x_out, z, H, rb_inv, phi_val)
+    pu, denom = _correction_denominator(p_inf, u)
     fallback = denom <= DENOMINATOR_FLOOR
-    if fallback:
-        cov = p_inf
-    else:
-        cov = symmetrize(p_inf + np.outer(pu, pu) / denom)
-        if denom >= _AUDIT_DENOM_MIN:
-            # The corrected covariance must invert the information-form
-            # expression P_inf^-1 - u u'; P_inf^-1 is available cheaply as
-            # P_pred^-1 + H' (psi Rbar)^-1 H.
-            p_inf_info = scipy.linalg.cho_solve(p_chol, np.eye(n)) + (H.T @ rb_inv @ H) / psi_val
-            resid_mat = (p_inf_info - np.outer(u, u)) @ cov - np.eye(n)
-            if np.linalg.norm(resid_mat) > _AUDIT_TOL * math.sqrt(n):
-                raise NumericalError(
-                    f"covariance correction identity violated "
-                    f"(residual {np.linalg.norm(resid_mat):.3e})"
-                )
+    # A zero pu over a unit denominator returns p_inf itself for fallback rows.
+    skip = fallback | (status != 0)
+    cov_out = _corrected(p_inf, np.where(skip[:, None], 0.0, pu), np.where(skip, 1.0, denom))
+
+    # The corrected covariance must invert the information-form expression
+    # P_inf^-1 - u u'; P_inf^-1 is available cheaply as
+    # P_pred^-1 + H' (psi Rbar)^-1 H.
+    audited = (status == 0) & (denom >= _AUDIT_DENOM_MIN)
+    if audited.any():
+        p_info = p_chol_inv.swapaxes(-1, -2) @ p_chol_inv
+        p_inf_info = p_info + (H.T @ rb_inv @ H) / psi_out[:, None, None]
+        resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - np.eye(n)
+        violated = (resid * resid).sum(axis=(-2, -1)) > _AUDIT_TOL**2 * n
+        mark_failed(status, audited & violated, Failure.CORRECTION_IDENTITY)
+    mark_failed(status, ~(finite_rows(x_out) & finite_rows(cov_out)), Failure.NON_FINITE)
 
     diagnostics = NvmfDiagnostics(
-        iterations_used=len(trace) - 1,
-        log_posterior_trace=np.asarray(trace),
-        final_psi=psi_val,
+        iterations_used=iterations,
+        log_posterior_trace=trace,
+        final_psi=psi_out,
         final_phi=phi_val,
         correction_denominator=denom,
         correction_fallback=fallback,
     )
-    return GaussianBelief(x, cov), diagnostics
+    return x_out, cov_out, status, diagnostics
+
+
+def nvmf_update(prior: GaussianBelief, z, model: LinearModel, mixing: InverseGammaMixing,
+                config: NvmfConfig):
+    """One measurement update: EM to the MAP state, then covariance correction
+    (nvmf_batch for one belief). Raises NumericalError when the update fails."""
+    post, diagnostics = update_one(nvmf_batch, prior, z, model, mixing, config)
+    return post, diagnostics.row(0)
 
 
 def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:

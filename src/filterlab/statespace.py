@@ -1,14 +1,82 @@
-"""Linear Gaussian state-space model, prediction, and two-point initialization."""
+"""Linear Gaussian state-space model, prediction, and two-point initialization.
+
+Also the conventions every filter kernel shares. A kernel advances a stack
+of N independent beliefs at once: means (N, n), covariances (N, n, n),
+measurements (N, m). Every contraction is a stacked matmul or a stacked
+numpy.linalg call, which work slice by slice, so a row's result does not
+depend on N or on the other rows. A kernel never raises for a bad row; it
+returns a per-row status, 0 for success or a Failure code, and the row's
+values are then meaningless.
+"""
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
+
+class Failure(enum.IntEnum):
+    """Why a kernel row failed."""
+
+    NOT_POSITIVE_DEFINITE = 1
+    ILL_CONDITIONED = 2
+    EM_NOT_MONOTONE = 3
+    CORRECTION_IDENTITY = 4
+    NON_FINITE = 5
+
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for one vector x (n,) or for each row of a stack x (N, n)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a' b for one pair of vectors or for each pair of rows of two stacks."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def mark_failed(status: np.ndarray, bad: np.ndarray, cause: Failure) -> None:
+    """Record cause for the rows in bad that have not failed yet."""
+    if bad.any():
+        status[(status == 0) & bad] = cause
+
+
+def finite_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of a stack whose entries are all finite."""
+    return np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+
+
+def rowwise(fn, a: np.ndarray, *args):
+    """fn(a, *args) for a numpy.linalg function over a stack of matrices a,
+    plus a mask of the rows on which it fails.
+
+    LAPACK failing on one row makes numpy raise for the whole stack, so the
+    rows are then tried one at a time, and each failing row is replaced by
+    the identity (its other arguments by zeros) before the stacked call is
+    repeated. Slices are computed independently, so the good rows' results
+    are the same either way.
+    """
+    bad = np.zeros(a.shape[0], dtype=bool)
+    try:
+        return fn(a, *args), bad
+    except np.linalg.LinAlgError:
+        pass
+    for i in range(a.shape[0]):
+        try:
+            fn(a[i:i + 1], *(b[i:i + 1] for b in args))
+        except np.linalg.LinAlgError:
+            bad[i] = True
+    a = np.where(bad[:, None, None], np.eye(a.shape[-1]), a)
+    args = [np.where(bad.reshape((-1,) + (1,) * (b.ndim - 1)), 0.0, b) for b in args]
+    return fn(a, *args), bad
 
 
 @dataclass
@@ -73,11 +141,35 @@ def cv_process_noise(T: float, q: float) -> np.ndarray:
     return q * np.kron(block, np.eye(2))
 
 
+def predict_batch(mean: np.ndarray, cov: np.ndarray, model: LinearModel):
+    """One prediction step, mean F x and covariance F P F' + Q, for a stack
+    of beliefs or for a single one (no leading axis)."""
+    mean = matvec(model.F, mean)
+    cov = symmetrize(model.F @ cov @ model.F.T + model.Q)
+    return mean, cov
+
+
 def predict(belief: GaussianBelief, model: LinearModel) -> GaussianBelief:
     """One prediction step: mean F x, covariance F P F' + Q."""
-    mean = model.F @ belief.mean
-    cov = symmetrize(model.F @ belief.cov @ model.F.T + model.Q)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(*predict_batch(belief.mean, belief.cov, model))
+
+
+def update_one(kernel, prior: GaussianBelief, z, *args):
+    """Apply a batched update kernel to one belief and one measurement.
+
+    Returns the posterior and the kernel's diagnostics (a batch of one).
+    Raises NumericalError for a non-finite measurement and for a failed row.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise NumericalError("measurement is not finite")
+    mean = np.asarray(prior.mean, dtype=float)
+    cov = np.asarray(prior.cov, dtype=float)
+    mean, cov, status, diagnostics = kernel(mean[None], cov[None], z[None], *args)
+    if status[0]:
+        cause = Failure(status[0]).name.lower().replace("_", " ")
+        raise NumericalError(f"{kernel.__name__} failed: {cause}")
+    return GaussianBelief(mean[0], cov[0]), diagnostics
 
 
 def two_point_init(z0, z_minus1, T: float, R) -> GaussianBelief:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from filterlab import harness
+from filterlab.baselines import pdaf_batch
 from filterlab.cli import main as cli_main
 from filterlab.harness import (
     FILTER_ORDER,
@@ -11,6 +13,7 @@ from filterlab.harness import (
     emit_csv,
     run_monte_carlo,
     run_trial,
+    run_trials,
     simulate_truth,
 )
 from filterlab.specfun import RngStream
@@ -38,12 +41,27 @@ class TestScenarioConfig:
         assert cfg.x0 == (100.0, 100.0, 20.0, 10.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(noise="bogus")
-        with pytest.raises(ValueError):
-            ScenarioConfig(filters=("kf", "unknown"))
-        with pytest.raises(ValueError):
-            ScenarioConfig(k_star=600, updates=600)
+        for bad in [
+            dict(noise="bogus"),
+            dict(filters=("kf", "unknown")),
+            dict(k_star=600, updates=600),
+            dict(T=0.0),
+            dict(T=-3.0),
+            dict(q=-1e-6),
+            dict(r_bar=0.0),
+            dict(r_out=-1.0),
+            dict(tau=0.0),
+            dict(p_out=1.5),
+            dict(p_out=-0.1),
+            dict(rho=1.0),
+            dict(alpha=0.0),
+            dict(beta=-1.0),
+            dict(epsilon=0.0),
+            dict(max_iterations=0),
+            dict(x0=(1.0, 2.0, 3.0)),
+        ]:
+            with pytest.raises(ValueError):
+                ScenarioConfig(**bad)
 
     def test_filter_order_canonical(self):
         cfg = ScenarioConfig(filters=("pdaf", "kf"))
@@ -125,6 +143,42 @@ class TestRunTrial:
         assert tm.diverged == records[0].diverged["nvmf"]
 
 
+class TestFailureContract:
+    def test_failed_row_marks_one_filter_on_one_trial(self, monkeypatch):
+        # Fail stack row 0 (trial 0) of the PDAF update at update k = 5.
+        cfg = small_config(trials=4)
+        clean = run_trials(cfg, range(4))
+        calls = []
+
+        def failing(mean, cov, z, *args):
+            mean, cov, status, diag = pdaf_batch(mean, cov, z, *args)
+            calls.append(len(mean))
+            if len(calls) == 5:
+                status[0] = 1
+            return mean, cov, status, diag
+
+        monkeypatch.setattr(harness, "pdaf_batch", failing)
+        records = run_trials(cfg, range(4))
+        assert calls[5:] and set(calls[5:]) == {3}
+        bad = records[0]
+        assert bad.failed["pdaf"] and not bad.failed["kf"]
+        assert np.array_equal(bad.squared_error["pdaf"][:4], clean[0].squared_error["pdaf"][:4])
+        assert np.all(np.isinf(bad.squared_error["pdaf"][4:]))
+        assert np.all(np.isinf(bad.nees["pdaf"][4:]))
+        assert np.all(np.isnan(bad.estimates["pdaf"][4:]))
+        for f in ("kf", "nvmf", "kfor"):
+            assert np.array_equal(bad.squared_error[f], clean[0].squared_error[f])
+        for a, b in zip(records[1:], clean[1:]):
+            for f in cfg.filters:
+                assert not a.failed[f]
+                assert np.array_equal(a.squared_error[f], b.squared_error[f])
+                assert np.array_equal(a.nees[f], b.nees[f])
+
+        calls.clear()
+        summary, _ = run_monte_carlo(cfg)
+        assert summary.lost_tracks["pdaf"] >= 1
+
+
 class TestRunMonteCarlo:
     def test_single_trial_degenerate(self):
         cfg = small_config(trials=1, filters=("kf",))
@@ -201,7 +255,7 @@ class TestEmitCsv:
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         outs = []
-        for i, workers in enumerate([1, 1, 2]):
+        for i, workers in enumerate([1, 1, 2, 3]):
             cfg = small_config(workers=workers)
             summary, records = run_monte_carlo(cfg)
             out = tmp_path / f"run{i}"
@@ -211,6 +265,7 @@ class TestEmitCsv:
             ref = (outs[0] / name).read_bytes()
             assert (outs[1] / name).read_bytes() == ref
             assert (outs[2] / name).read_bytes() == ref
+            assert (outs[3] / name).read_bytes() == ref
 
 
 class TestCli:
