@@ -11,7 +11,7 @@ from .baselines import KforConfig, PdafConfig, kfor_update, pdaf_update
 from .errors import CalibrationError, ConvergenceError, CovarianceCorrectionError, NumericalError
 from .harness import ScenarioConfig, TrialRecord, emit_csv, run_monte_carlo, run_trial, simulate_truth
 from .kalman import UpdateDiagnostics, kf_information_update, kf_update, pcrlb_recursion
-from .metrics import RunSummary, TrialMetrics, anees, consistency_interval, detect_divergence, nrmse
+from .metrics import RunSummary, consistency_interval, detect_divergence
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import (
     InverseGammaMixing,

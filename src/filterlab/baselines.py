@@ -31,7 +31,7 @@ class KforConfig:
     w: float
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.w <= 0.0:
+        if not (self.tau > 0.0 and self.w > 0.0):
             raise ValueError("tau and w must be positive")
 
 
@@ -49,9 +49,9 @@ class PdafConfig:
     def __post_init__(self):
         if not 0.0 < self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in (0, 1]")
-        if self.gate <= 0.0:
+        if not self.gate > 0.0:
             raise ValueError("gate must be positive")
-        if self.clutter_density < 0.0:
+        if not self.clutter_density >= 0.0:
             raise ValueError("clutter_density must be nonnegative")
         if self.p_gate is not None and not 0.0 < self.p_gate <= 1.0:
             raise ValueError("p_gate must lie in (0, 1]")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 # predict and the *_update names are unused here: the per-measurement updates
 # stay importable from this module because the benchmark's tracer
@@ -26,7 +25,7 @@ import scipy.linalg
 # kernels, so those spans read 0 in a traced run.
 from .baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
 from .kalman import kf_batch, kf_update, pcrlb_recursion
-from .metrics import consistency_interval, detect_divergence, RunSummary, TrialMetrics
+from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
 from .specfun import RngStream, reg_lower_inc_gamma, sample_mvn
@@ -38,6 +37,7 @@ from .statespace import (
     predict_batch,
     rowdot,
     rowwise,
+    solve_pd,
     two_point_init,
 )
 
@@ -88,6 +88,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown filters {sorted(unknown)}")
         if not self.filters:
             raise ValueError("at least one filter must be selected")
+        for name in ("trials", "updates", "k_star", "seed", "workers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 < self.k_star < self.updates:
@@ -160,19 +163,10 @@ class TrialRecord:
     """Per-update results of all filters on one trial."""
 
     trial_id: int
-    estimates: dict
-    cov_trace: dict
     squared_error: dict
     nees: dict
     diverged: dict = field(default_factory=dict)
     failed: dict = field(default_factory=dict)
-
-    def metrics(self, name: str) -> TrialMetrics:
-        return TrialMetrics(
-            squared_error=self.squared_error[name],
-            nees=self.nees[name],
-            diverged=self.diverged.get(name, False),
-        )
 
 
 def simulate_truth(config: ScenarioConfig, rng: RngStream):
@@ -259,8 +253,6 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
         init_mean[j], init_cov[j] = init.mean, init.cov
 
     updates = _filter_updates(config, model)
-    estimates = {f: np.full((N, K, STATE_DIM), np.nan) for f in updates}
-    cov_trace = {f: np.full((N, K), np.nan) for f in updates}
     squared_error = {f: np.full((N, K), np.inf) for f in updates}
     nees = {f: np.full((N, K), np.inf) for f in updates}
     failed = {f: np.zeros(N, dtype=bool) for f in updates}
@@ -282,8 +274,6 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
                 if not ok.all():
                     failed[f][rows[~ok]] = True
                     rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))
-                estimates[f][rows, k] = mean
-                cov_trace[f][rows, k] = np.trace(cov, axis1=-2, axis2=-1)
                 squared_error[f][rows, k] = se
                 nees[f][rows, k] = ne
                 beliefs[f] = rows, mean, cov
@@ -292,8 +282,6 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
     for j, trial_id in enumerate(ids):
         records.append(TrialRecord(
             trial_id,
-            {f: estimates[f][j] for f in updates},
-            {f: cov_trace[f][j] for f in updates},
             {f: squared_error[f][j] for f in updates},
             {f: nees[f][j] for f in updates},
             failed={f: bool(failed[f][j]) for f in updates},
@@ -312,11 +300,11 @@ def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
     model = config.model()
     R = config.r_bar * np.eye(MEAS_DIM)
     init_cov = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T, R).cov
-    info = scipy.linalg.solve(init_cov, np.eye(STATE_DIM), assume_a="pos")
+    info = solve_pd(init_cov, np.eye(STATE_DIM))
     traces = np.empty(config.updates)
     for k in range(config.updates):
         info = pcrlb_recursion(info, model, config.r_bar)
-        traces[k] = np.trace(scipy.linalg.solve(info, np.eye(STATE_DIM), assume_a="pos"))
+        traces[k] = np.trace(solve_pd(info, np.eye(STATE_DIM)))
     return traces
 
 

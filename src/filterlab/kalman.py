@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .statespace import (
@@ -17,6 +16,7 @@ from .statespace import (
     mark_failed,
     matvec,
     rowwise,
+    solve_pd,
     symmetrize,
     update_one,
 )
@@ -94,13 +94,13 @@ def kf_information_update(prior: GaussianBelief, z, H, R):
     P = prior.cov
     S = _innovation_cov(P, H, R)
     n = P.shape[0]
-    prior_info = scipy.linalg.solve(P, np.eye(n), assume_a="pos")
-    rinv_h = scipy.linalg.solve(R, H, assume_a="pos")
+    prior_info = solve_pd(P, np.eye(n))
+    rinv_h = solve_pd(R, H)
     info = symmetrize(prior_info + H.T @ rinv_h)
-    gain = scipy.linalg.solve(info, rinv_h.T, assume_a="pos")
+    gain = solve_pd(info, rinv_h.T)
     innovation = z - H @ prior.mean
     mean = prior.mean + gain @ innovation
-    cov = symmetrize(scipy.linalg.solve(info, np.eye(n), assume_a="pos"))
+    cov = symmetrize(solve_pd(info, np.eye(n)))
     return GaussianBelief(mean, cov), UpdateDiagnostics(innovation, S, gain)
 
 
@@ -112,11 +112,11 @@ def pcrlb_recursion(prior_info: np.ndarray, model: LinearModel, r: float) -> np.
     inverse of the result is the matched Kalman filter's error covariance
     and the lower bound used as the error normalizer.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"pcrlb_recursion requires r > 0, got {r}")
     n = prior_info.shape[0]
-    cov = scipy.linalg.solve(prior_info, np.eye(n), assume_a="pos")
+    cov = solve_pd(prior_info, np.eye(n))
     pred_cov = symmetrize(model.F @ cov @ model.F.T + model.Q)
-    pred_info = scipy.linalg.solve(pred_cov, np.eye(n), assume_a="pos")
-    rbinv_h = scipy.linalg.solve(model.Rbar, model.H, assume_a="pos")
+    pred_info = solve_pd(pred_cov, np.eye(n))
+    rbinv_h = solve_pd(model.Rbar, model.H)
     return symmetrize(pred_info + (model.H.T @ rbinv_h) / r)

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import chi_square_quantile
-
-
-@dataclass
-class TrialMetrics:
-    """Per-update squared error and normalized error for one filter on one trial."""
-
-    squared_error: np.ndarray
-    nees: np.ndarray
-    diverged: bool = False
 
 
 @dataclass
@@ -29,22 +19,6 @@ class RunSummary:
     n_trials: int
     n_eff: int
     kf_cov_trace: np.ndarray
-
-
-def nrmse(mse_k: float, kf_cov_trace_k: float) -> float:
-    """Root MSE normalized by the matched-filter covariance trace."""
-    if kf_cov_trace_k <= 0.0:
-        raise ValueError("normalizing trace must be positive")
-    return math.sqrt(mse_k / kf_cov_trace_k)
-
-
-def anees(errors, covs) -> float:
-    """Average normalized estimation error squared over trials."""
-    errors = np.asarray(errors, dtype=float)
-    total = 0.0
-    for e, P in zip(errors, covs):
-        total += float(e @ np.linalg.solve(P, e))
-    return total / len(errors)
 
 
 def consistency_interval(N: int, L: int, s: float):

@@ -16,7 +16,7 @@ class GaussianNoise:
     Rbar: np.ndarray
 
     def __post_init__(self):
-        if self.r_bar <= 0.0:
+        if not self.r_bar > 0.0:
             raise ValueError("r_bar must be positive")
         self.Rbar = np.asarray(self.Rbar, dtype=float)
 
@@ -32,7 +32,7 @@ class GaussianUniformNoise:
     r_out: float
 
     def __post_init__(self):
-        if self.r_bar <= 0.0 or self.r_out <= 0.0:
+        if not (self.r_bar > 0.0 and self.r_out > 0.0):
             raise ValueError("scale parameters must be positive")
         if not 0.0 <= self.p_out <= 1.0:
             raise ValueError("p_out must lie in [0, 1]")
@@ -50,7 +50,7 @@ class MultivariateTNoise:
     Rbar: np.ndarray
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
         self.Rbar = np.asarray(self.Rbar, dtype=float)
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CalibrationError, CovarianceCorrectionError
 from .specfun import RngStream, inv_reg_lower_inc_gamma, log_gamma, sample_inverse_gamma
@@ -31,11 +30,13 @@ from .statespace import (
     Failure,
     GaussianBelief,
     LinearModel,
+    cholesky_pd,
     finite_rows,
     mark_failed,
     matvec,
     rowdot,
     rowwise,
+    solve_pd,
     symmetrize,
     update_one,
 )
@@ -58,7 +59,7 @@ class InverseGammaMixing:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("mixing parameters must be positive")
 
 
@@ -69,9 +70,9 @@ class NvmfConfig:
     fixed_iteration_mode: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
 
@@ -140,10 +141,15 @@ def log_posterior(x, prior: GaussianBelief, z, H, Rbar, mixing: InverseGammaMixi
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    dx = x - prior.mean
-    quad = float(dx @ scipy.linalg.solve(prior.cov, dx, assume_a="pos"))
-    half = len(z) / 2.0 + mixing.alpha
-    return -0.5 * quad - half * math.log1p(zeta(x, z, H, Rbar) / mixing.beta)
+    l_inv = np.linalg.inv(cholesky_pd(prior.cov, x - prior.mean))
+    return float(_log_post(prior.mean, l_inv, x, zeta(x, z, H, Rbar), mixing, len(z)))
+
+
+def _log_post(x_pred, l_inv, x, zeta_x, mixing: InverseGammaMixing, M: int):
+    # l_inv is the inverse Cholesky factor of the predicted covariance, so
+    # |l_inv (x - x_pred)|^2 is the prior quadratic form.
+    w = matvec(l_inv, x - x_pred)
+    return -0.5 * rowdot(w, w) - (M / 2.0 + mixing.alpha) * np.log1p(zeta_x / mixing.beta)
 
 
 def u_vector(x_hat, z, H, Rbar, phi_val):
@@ -203,7 +209,6 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     rb_inv = np.linalg.inv(model.Rbar)
     N, n = mean.shape
     m = H.shape[0]
-    half = m / 2.0 + mixing.alpha
     status = np.zeros(N, dtype=np.int8)
 
     p_chol, bad = rowwise(np.linalg.cholesky, cov)
@@ -214,13 +219,9 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     a_part = hp @ H.T            # H P H'
     innovation = z - matvec(H, mean)
 
-    def log_post(x_pred, l_inv, x, zeta_x):
-        w = matvec(l_inv, x - x_pred)
-        return -0.5 * rowdot(w, w) - half * np.log1p(zeta_x / mixing.beta)
-
     zeta_x = _zeta(mean, z, H, rb_inv)
     trace = np.full((N, config.max_iterations + 1), np.nan)
-    trace[:, 0] = log_post(mean, p_chol_inv, mean, zeta_x)
+    trace[:, 0] = _log_post(mean, p_chol_inv, mean, zeta_x, mixing, m)
     iterations = np.zeros(N, dtype=np.int64)
     x_out = mean.copy()
     zeta_out = zeta_x.copy()
@@ -243,7 +244,7 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
         gain = gain_t.swapaxes(-1, -2)
         x = x_pred + matvec(gain, innov_r)
         zeta_r = _zeta(x, z_r, H, rb_inv)
-        lam = log_post(x_pred, l_inv_r, x, zeta_r)
+        lam = _log_post(x_pred, l_inv_r, x, zeta_r, mixing, m)
         delta = lam - lam_r
         trace[rows, it] = lam
         state[6:] = [zeta_r, lam]
@@ -321,8 +322,8 @@ def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:
     m = v.shape[0]
     nu = 2.0 * mixing.alpha
     sigma = (mixing.beta / mixing.alpha) * Rbar
-    chol = np.linalg.cholesky(sigma)
-    w = scipy.linalg.solve_triangular(chol, v, lower=True)
+    chol = cholesky_pd(sigma, v)
+    w = np.linalg.solve(chol, v)
     quad = float(w @ w)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return (
@@ -362,7 +363,7 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, Rbar, M: int,
     Returns the chosen mixing and the absolute residual of the matching
     equation at that point.
     """
-    if r_out <= 0.0 or r_regular <= 0.0:
+    if not (r_out > 0.0 and r_regular > 0.0):
         raise ValueError("r_out and r_regular must be positive")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
@@ -378,7 +379,7 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, Rbar, M: int,
 
     Rbar = np.asarray(Rbar, dtype=float)
     chol_rbar = np.linalg.cholesky(Rbar)
-    rb_inv = scipy.linalg.solve(Rbar, np.eye(M), assume_a="pos")
+    rb_inv = solve_pd(Rbar, np.eye(M))
     target = 1.0 / r_regular
 
     def evaluate(alpha):

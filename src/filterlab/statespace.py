@@ -54,6 +54,28 @@ def finite_rows(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
 
 
+def cholesky_pd(a, *others) -> np.ndarray:
+    """Lower Cholesky factor of one symmetric positive-definite matrix.
+
+    Raises ValueError when a, or any array in others, has a non-finite
+    entry (numpy.linalg.cholesky would return NaNs rather than fail), and
+    numpy.linalg.LinAlgError when a is not positive definite.
+    """
+    a = np.asarray(a, dtype=float)
+    if not all(np.isfinite(b).all() for b in (a, *others)):
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.cholesky(a)
+
+
+def solve_pd(a, b) -> np.ndarray:
+    """x with a x = b, for one symmetric positive-definite matrix a and a
+    vector or matrix b, through the Cholesky factor of a (see cholesky_pd
+    for the errors it raises)."""
+    b = np.asarray(b, dtype=float)
+    chol = cholesky_pd(a, b)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
 def rowwise(fn, a: np.ndarray, *args):
     """fn(a, *args) for a numpy.linalg function over a stack of matrices a,
     plus a mask of the rows on which it fails.
@@ -180,7 +202,7 @@ def two_point_init(z0, z_minus1, T: float, R) -> GaussianBelief:
     block matrix [[R, R/T], [R/T, 2R/T^2]], which makes the initial
     estimate consistent by construction.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError(f"two_point_init requires T > 0, got {T}")
     z0 = np.asarray(z0, dtype=float)
     z_minus1 = np.asarray(z_minus1, dtype=float)

@@ -3,22 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from filterlab.metrics import anees, consistency_interval, detect_divergence, nrmse
+from filterlab.harness import _nees
+from filterlab.metrics import consistency_interval, detect_divergence
 
 
-class TestNrmse:
-    def test_zero_error(self):
-        assert nrmse(0.0, 5.0) == 0.0
-
-    def test_matched_error(self):
-        assert nrmse(5.0, 5.0) == 1.0
-
-    def test_quadruple(self):
-        assert abs(nrmse(4.0 * 7.0, 7.0) - 2.0) < 1e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            nrmse(1.0, 0.0)
+def anees(errors, covs) -> float:
+    """ANEES as the harness aggregates it: the mean over trials of each
+    trial's NEES from the harness's stacked solve."""
+    ne, singular = _nees(np.asarray(errors, dtype=float), np.asarray(covs, dtype=float))
+    assert not singular.any()
+    return float(ne.mean())
 
 
 class TestAnees:

@@ -296,6 +296,9 @@ class TestNvmfUpdate:
             z = model.H @ prior.mean + rng.standard_normal(2) * scale
             post, diag = nvmf_update(prior, z, model, TABLE_MIXING, cfg)
             assert np.all(np.diff(diag.log_posterior_trace) >= -1e-9)
+            # the public log posterior is the objective the EM tracked
+            lam = log_posterior(post.mean, prior, z, model.H, model.Rbar, TABLE_MIXING)
+            assert abs(diag.log_posterior_trace[-1] - lam) <= 1e-12 * max(1.0, abs(lam))
             # whitened gradient at the converged mean is negligible
             dx = post.mean - prior.mean
             resid = model.H @ post.mean - z

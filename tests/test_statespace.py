@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import filterlab
+from filterlab.kalman import kf_information_update, pcrlb_recursion
+from filterlab.nvmf import InverseGammaMixing, log_posterior, nvm_t_log_density
 from filterlab.specfun import RngStream, sample_mvn
 from filterlab.statespace import (
     GaussianBelief,
@@ -8,6 +16,7 @@ from filterlab.statespace import (
     cv_process_noise,
     cv_transition,
     predict,
+    solve_pd,
     two_point_init,
 )
 
@@ -129,3 +138,65 @@ class TestTwoPointInit:
         anees = total / n
         se = np.sqrt(2.0 * 4.0 / n)  # chi-square(4) variance is 8
         assert abs(anees - 4.0) < 3.0 * se
+
+
+class TestSolvePd:
+    def test_matches_general_solve(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 4):
+            A = rng.standard_normal((n, n))
+            a = A @ A.T + n * np.eye(n)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
+                x = solve_pd(a, b)
+                assert x.shape == b.shape
+                assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
+
+    def test_rejects_indefinite_and_non_finite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_pd(np.diag([1.0, -1.0]), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_pd(np.eye(2), np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            solve_pd(np.diag([np.inf, 1.0]), np.ones(2))
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(filterlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys, filterlab, filterlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
+
+
+def _model():
+    return LinearModel(F=cv_transition(3.0), Q=cv_process_noise(3.0, 1e-3),
+                       H=np.eye(2, 4), Rbar=np.eye(2))
+
+
+def _posterior(cov):
+    return log_posterior(np.ones(2), GaussianBelief(np.zeros(2), cov), np.ones(2),
+                         np.eye(2), np.eye(2), InverseGammaMixing(1.0, 1.0))
+
+
+# Each former scipy.linalg call site, called with one matrix in place of a
+# valid positive-definite one. The innovation covariance of the information
+# update stays positive definite for the indefinite prior used here.
+SOLVE_SITES = {
+    "kf_information_update": lambda a: kf_information_update(
+        GaussianBelief(np.zeros(2), a), np.zeros(2), np.eye(2), np.eye(2)),
+    "pcrlb_recursion": lambda a: pcrlb_recursion(np.kron(np.eye(2), a), _model(), 1.0),
+    "log_posterior": _posterior,
+    "nvm_t_log_density": lambda a: nvm_t_log_density(np.ones(2), InverseGammaMixing(1.0, 1.0), a),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SOLVE_SITES))
+@pytest.mark.parametrize("matrix, error", [
+    (np.diag([1.0, -0.5]), np.linalg.LinAlgError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError),
+])
+def test_solve_sites_reject_bad_matrices(site, matrix, error):
+    with pytest.raises(error):
+        SOLVE_SITES[site](matrix)
