@@ -76,8 +76,8 @@ def _run(args) -> int:
     if args.filters is not None:
         kwargs["filters"] = tuple(f.strip() for f in args.filters.split(",") if f.strip())
     config = ScenarioConfig(**kwargs)
-    summary, records = run_monte_carlo(config)
-    paths = emit_csv(records, summary, args.out)
+    summary, trials = run_monte_carlo(config)
+    paths = emit_csv(trials, summary, args.out)
     print(f"N={summary.n_trials} N_eff={summary.n_eff}")
     for f in summary.filters:
         print(f"{f}: lost_tracks={summary.lost_tracks[f]}")

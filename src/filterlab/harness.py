@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-# predict and the *_update names are unused here: the per-measurement updates
-# stay importable from this module because the benchmark's tracer
-# (perfbench/tracing.py) wraps them here. The runner calls the batched
-# kernels, so those spans read 0 in a traced run.
+# predict, the *_update names and run_trial (below) are unused here: they stay
+# because the benchmark's tracer (perfbench/tracing.py) wraps them here, and its
+# test_tracer_restores_wrapped_names fails without them. The runner calls
+# run_trials and the batched kernels, so those spans read 0 in a traced run.
 from .baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
 from .kalman import kf_batch, kf_update, pcrlb_recursion
 from .metrics import consistency_interval, detect_divergence, RunSummary
@@ -159,14 +159,24 @@ class ScenarioConfig:
 
 
 @dataclass
-class TrialRecord:
-    """Per-update results of all filters on one trial."""
+class Trials:
+    """Per-update results of every filter over a stack of trials, row j
+    being trial trial_ids[j]: squared_error and nees map each filter to an
+    (N, K) array (inf from a failed update on), failed and diverged (set by
+    run_monte_carlo: failed, or out of the reference envelope) to (N,) flags."""
 
-    trial_id: int
+    trial_ids: np.ndarray
     squared_error: dict
     nees: dict
+    failed: dict
     diverged: dict = field(default_factory=dict)
-    failed: dict = field(default_factory=dict)
+
+    @classmethod
+    def concat(cls, parts) -> "Trials":
+        """One stack from consecutive chunks, rows in the order given."""
+        return cls(np.concatenate([p.trial_ids for p in parts]), *(
+            {f: np.concatenate([getattr(p, attr)[f] for p in parts]) for f in parts[0].failed}
+            for attr in ("squared_error", "nees", "failed")))
 
 
 def simulate_truth(config: ScenarioConfig, rng: RngStream):
@@ -224,7 +234,7 @@ def _nees(err: np.ndarray, cov: np.ndarray):
     return rowdot(err, solved[..., 0]), bad
 
 
-def run_trials(config: ScenarioConfig, trial_ids) -> list:
+def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     """Deterministic trials: simulate each from its own stream, then advance
     every filter over the stack of trials one update at a time.
 
@@ -233,8 +243,8 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
     drops out of the filter's stack; no other trial or filter is affected.
     Each trial's numbers are the same whatever other trials share its stack.
     """
-    ids = list(trial_ids)
-    N = len(ids)
+    ids = np.array(list(trial_ids), dtype=np.int64)
+    N = ids.size
     K = config.updates
     model = config.model()
     H = model.H
@@ -244,7 +254,7 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
     measurements = np.empty((K, N, MEAS_DIM))
     init_mean = np.empty((N, STATE_DIM))
     init_cov = np.empty((N, STATE_DIM, STATE_DIM))
-    for j, trial_id in enumerate(ids):
+    for j, trial_id in enumerate(ids.tolist()):
         rng = RngStream(config.seed, trial_id)
         truth[j], z_minus1, z_0 = simulate_truth(config, rng)
         for k in range(K):
@@ -278,20 +288,12 @@ def run_trials(config: ScenarioConfig, trial_ids) -> list:
                 nees[f][rows, k] = ne
                 beliefs[f] = rows, mean, cov
 
-    records = []
-    for j, trial_id in enumerate(ids):
-        records.append(TrialRecord(
-            trial_id,
-            {f: squared_error[f][j] for f in updates},
-            {f: nees[f][j] for f in updates},
-            failed={f: bool(failed[f][j]) for f in updates},
-        ))
-    return records
+    return Trials(ids, squared_error, nees, failed)
 
 
-def run_trial(config: ScenarioConfig, trial_id: int) -> TrialRecord:
-    """One deterministic trial: a batch of one."""
-    return run_trials(config, [trial_id])[0]
+def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
+    """One deterministic trial: a stack of one."""
+    return run_trials(config, [trial_id])
 
 
 def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
@@ -311,48 +313,42 @@ def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
 def run_monte_carlo(config: ScenarioConfig):
     """Run all trials, apply the divergence test and discard rule, aggregate.
 
-    Returns the run summary and the full trial records. A trial is discarded
-    from the error/consistency aggregates when any filter diverges on it
-    (exceeds the reference envelope in steady state) or fails numerically;
-    lost-track counts are over all trials.
+    Returns the run summary and the trial stack. A trial is discarded from
+    the error/consistency aggregates when any filter diverges on it (exceeds
+    the reference envelope in steady state) or fails numerically; lost-track
+    counts are over all trials.
     """
     # Contiguous chunks of trial ids, one per worker; a trial's numbers do
     # not depend on its chunk, so neither does the output.
     chunks = [c for c in np.array_split(np.arange(config.trials), config.workers) if c.size]
     if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            records = [rec for part in pool.map(run_trials, [config] * len(chunks), chunks)
-                       for rec in part]
+            trials = Trials.concat(list(pool.map(run_trials, [config] * len(chunks), chunks)))
     else:
-        records = run_trials(config, chunks[0])
+        trials = run_trials(config, chunks[0])
 
-    names = tuple(f for f in FILTER_ORDER if f in set(config.filters) | {"kf"})
-    usable = [rec for rec in records if not rec.failed["kf"]]
-    if not usable:
+    usable = ~trials.failed["kf"]
+    if not usable.any():
         raise RuntimeError("all trials failed")
-    envelope = np.max(np.stack([rec.squared_error["kf"] for rec in usable]), axis=0)
+    envelope = trials.squared_error["kf"][usable].max(axis=0)
 
     # Positions hold updates k = 1..K, so steady state (k > k_star) starts at
     # position k_star; pass k_star - 1 as the strict positional threshold.
     k_star_pos = config.k_star - 1
-    for rec in records:
-        for f in names:
-            rec.diverged[f] = rec.failed[f] or detect_divergence(
-                rec.squared_error[f], envelope, k_star_pos)
+    for f, se in trials.squared_error.items():
+        trials.diverged[f] = trials.failed[f] | detect_divergence(se, envelope, k_star_pos)
 
-    kept = [rec for rec in records if not any(rec.diverged[f] for f in names)]
-    n_eff = len(kept)
-    lost = {f: sum(rec.diverged[f] for rec in records) for f in config.filters}
+    kept = ~np.any(list(trials.diverged.values()), axis=0)
+    n_eff = int(kept.sum())
+    lost = {f: int(trials.diverged[f].sum()) for f in config.filters}
 
     kf_trace = _kf_reference_trace(config)
     nrmse_by_filter = {}
     anees_by_filter = {}
     for f in config.filters:
         if n_eff:
-            se = np.stack([rec.squared_error[f] for rec in kept])
-            ne = np.stack([rec.nees[f] for rec in kept])
-            nrmse_by_filter[f] = np.sqrt(se.mean(axis=0) / kf_trace)
-            anees_by_filter[f] = ne.mean(axis=0)
+            nrmse_by_filter[f] = np.sqrt(trials.squared_error[f][kept].mean(axis=0) / kf_trace)
+            anees_by_filter[f] = trials.nees[f][kept].mean(axis=0)
         else:
             nrmse_by_filter[f] = np.full(config.updates, np.nan)
             anees_by_filter[f] = np.full(config.updates, np.nan)
@@ -370,10 +366,10 @@ def run_monte_carlo(config: ScenarioConfig):
         n_eff=n_eff,
         kf_cov_trace=kf_trace,
     )
-    return summary, records
+    return summary, trials
 
 
-def emit_csv(records, summary: RunSummary, out_dir) -> list:
+def emit_csv(trials: Trials, summary: RunSummary, out_dir) -> list:
     """Write summary.csv, trials.csv, and lost_tracks.csv under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -397,15 +393,13 @@ def emit_csv(records, summary: RunSummary, out_dir) -> list:
     with open(paths[1], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "k", "filter", "se", "nees", "diverged"])
-        for rec in records:
+        for j, trial_id in enumerate(trials.trial_ids.tolist()):
             for f in summary.filters:
-                diverged = int(rec.diverged.get(f, False))
-                se = rec.squared_error[f]
-                ne = rec.nees[f]
-                for k in range(se.shape[0]):
-                    writer.writerow(
-                        [rec.trial_id, k + 1, f, repr(float(se[k])), repr(float(ne[k])), diverged]
-                    )
+                diverged = int(trials.diverged[f][j])
+                se = trials.squared_error[f][j].tolist()
+                ne = trials.nees[f][j].tolist()
+                writer.writerows([trial_id, k, f, repr(a), repr(b), diverged]
+                                 for k, (a, b) in enumerate(zip(se, ne), 1))
 
     with open(paths[2], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -39,13 +39,15 @@ def consistency_interval(N: int, L: int, s: float):
     )
 
 
-def detect_divergence(se_trial, kf_envelope, k_star: int) -> bool:
-    """True when the squared error exceeds the reference envelope at any
-    position strictly after k_star."""
-    se_trial = np.asarray(se_trial, dtype=float)
+def detect_divergence(se, kf_envelope, k_star: int):
+    """Per trial (row of se), whether the squared error exceeds the reference
+    envelope at any position strictly after k_star; a 1-D se is one trial
+    and gives one bool."""
+    se = np.asarray(se, dtype=float)
     kf_envelope = np.asarray(kf_envelope, dtype=float)
-    if se_trial.shape != kf_envelope.shape:
+    if kf_envelope.ndim != 1 or se.shape[-1:] != kf_envelope.shape:
         raise ValueError("sequences must have equal length")
-    if not 0 <= k_star < se_trial.shape[0]:
+    if not 0 <= k_star < kf_envelope.shape[0]:
         raise ValueError(f"k_star {k_star} out of range")
-    return bool(np.any(se_trial[k_star + 1:] > kf_envelope[k_star + 1:]))
+    out = np.any(se[..., k_star + 1:] > kf_envelope[k_star + 1:], axis=-1)
+    return bool(out) if se.ndim == 1 else out

@@ -23,7 +23,7 @@ _MAX_ROOT_ITER = 200
 
 def log_gamma(a: float) -> float:
     """Natural log of the gamma function for a > 0."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"log_gamma requires a > 0, got {a}")
     return math.lgamma(a)
 
@@ -67,9 +67,9 @@ def _upper_cf(a: float, x: float) -> float:
 
 def reg_lower_inc_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x)."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"reg_lower_inc_gamma requires a > 0, got {a}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -84,7 +84,7 @@ def inv_reg_lower_inc_gamma(a: float, p: float) -> float:
     Safeguarded Newton iteration on the monotone CDF, with a bisection
     fallback whenever a Newton step leaves the current bracket.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"inv_reg_lower_inc_gamma requires a > 0, got {a}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"inv_reg_lower_inc_gamma requires 0 < p < 1, got {p}")
@@ -133,7 +133,7 @@ def inv_reg_lower_inc_gamma(a: float, p: float) -> float:
 
 def chi_square_quantile(dof: float, p: float) -> float:
     """Left-tail quantile of the chi-square distribution."""
-    if dof <= 0.0:
+    if not dof > 0.0:
         raise ValueError(f"chi_square_quantile requires dof > 0, got {dof}")
     return 2.0 * inv_reg_lower_inc_gamma(0.5 * dof, p)
 
@@ -143,7 +143,7 @@ class RngStream:
 
     Equal (seed, stream_id) pairs reproduce the same draw sequence bit for
     bit; distinct stream_ids give statistically independent streams, so
-    per-trial substreams can run on concurrent workers without shared state.
+    per-trial streams can run on concurrent workers without shared state.
     A single stream must not be shared between workers.
     """
 
@@ -154,9 +154,6 @@ class RngStream:
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -196,9 +193,9 @@ def sample_gamma(shape: float, rate: float, rng: RngStream, size=None):
     Shapes below one use the standard boost: draw at shape + 1 and scale
     by a uniform power, which keeps the squeeze method applicable.
     """
-    if shape <= 0.0:
+    if not shape > 0.0:
         raise ValueError(f"sample_gamma requires shape > 0, got {shape}")
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ValueError(f"sample_gamma requires rate > 0, got {rate}")
     n = 1 if size is None else int(size)
     if shape < 1.0:

@@ -132,6 +132,9 @@ class LinearModel:
         self.Q = np.asarray(self.Q, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         self.Rbar = np.asarray(self.Rbar, dtype=float)
+        for name in ("F", "Q", "H", "Rbar"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.abs(self.Q - self.Q.T).max() > 1e-10 * max(np.abs(self.Q).max(), 1.0):
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(symmetrize(self.Q))[0] < -1e-10:

@@ -13,6 +13,7 @@ from filterlab.nvmf import InverseGammaMixing, NvmfConfig
 from filterlab.harness import (
     FILTER_ORDER,
     ScenarioConfig,
+    Trials,
     _kf_reference_trace,
     emit_csv,
     run_monte_carlo,
@@ -138,12 +139,27 @@ class TestSimulateTruth:
         Q = cv_process_noise(cfg.T, cfg.q)
         assert np.abs(cov - Q).max() < 0.05 * np.abs(Q).max()
 
+    def test_init_from_regime(self):
+        # With every draw an outlier, the init residuals z - H x reach the
+        # uniform outlier range only when the flag draws them from the regime.
+        for flag in (False, True):
+            cfg = small_config(noise="gu", p_out=1.0, init_from_regime=flag)
+            H = cfg.model().H
+            x_back = cv_transition(-cfg.T) @ np.asarray(cfg.x0)
+            residuals = []
+            for i in range(50):
+                _, z_minus1, z_0 = simulate_truth(cfg, RngStream(13, i))
+                residuals += [z_minus1 - H @ x_back, z_0 - H @ np.asarray(cfg.x0)]
+            biggest = np.abs(residuals).max()
+            assert (biggest > 10.0 * np.sqrt(cfg.r_bar)) == flag
+
 
 class TestRunTrial:
     def test_deterministic(self):
         cfg = small_config()
         a = run_trial(cfg, 4)
         b = run_trial(cfg, 4)
+        assert a.trial_ids.tolist() == [4]
         for f in a.squared_error:
             assert np.array_equal(a.squared_error[f], b.squared_error[f])
             assert np.array_equal(a.nees[f], b.nees[f])
@@ -170,15 +186,16 @@ class TestRunTrial:
         # residual floor is the initial velocity error sqrt(2 r_bar)/T
         # carried across k steps
         cfg = small_config(q=0.0, r_bar=1e-12, updates=20, k_star=5)
-        rec = run_trial(cfg, 1)
+        trials = run_trial(cfg, 1)
         for f in cfg.filters:
-            assert rec.squared_error[f].max() < 1e-7
+            assert trials.squared_error[f].shape == (1, cfg.updates)
+            assert trials.squared_error[f].max() < 1e-7
 
     def test_reference_filter_always_runs(self):
         cfg = small_config(filters=("nvmf",))
-        rec = run_trial(cfg, 0)
-        assert "kf" in rec.squared_error
-        assert "nvmf" in rec.squared_error
+        trials = run_trial(cfg, 0)
+        assert list(trials.squared_error) == ["kf", "nvmf"]
+        assert list(trials.failed) == ["kf", "nvmf"]
 
 
 class TestFailureContract:
@@ -196,20 +213,20 @@ class TestFailureContract:
             return mean, cov, status, diag
 
         monkeypatch.setattr(harness, "pdaf_batch", failing)
-        records = run_trials(cfg, range(4))
+        trials = run_trials(cfg, range(4))
         assert calls[5:] and set(calls[5:]) == {3}
-        bad = records[0]
-        assert bad.failed["pdaf"] and not bad.failed["kf"]
-        assert np.array_equal(bad.squared_error["pdaf"][:4], clean[0].squared_error["pdaf"][:4])
-        assert np.all(np.isinf(bad.squared_error["pdaf"][4:]))
-        assert np.all(np.isinf(bad.nees["pdaf"][4:]))
+        assert trials.failed["pdaf"].tolist() == [True, False, False, False]
+        assert not trials.failed["kf"].any()
+        bad_se, clean_se = trials.squared_error["pdaf"], clean.squared_error["pdaf"]
+        assert np.array_equal(bad_se[0, :4], clean_se[0, :4])
+        assert np.all(np.isinf(bad_se[0, 4:]))
+        assert np.all(np.isinf(trials.nees["pdaf"][0, 4:]))
+        assert np.array_equal(bad_se[1:], clean_se[1:])
+        assert np.array_equal(trials.nees["pdaf"][1:], clean.nees["pdaf"][1:])
         for f in ("kf", "nvmf", "kfor"):
-            assert np.array_equal(bad.squared_error[f], clean[0].squared_error[f])
-        for a, b in zip(records[1:], clean[1:]):
-            for f in cfg.filters:
-                assert not a.failed[f]
-                assert np.array_equal(a.squared_error[f], b.squared_error[f])
-                assert np.array_equal(a.nees[f], b.nees[f])
+            assert not trials.failed[f].any()
+            assert np.array_equal(trials.squared_error[f], clean.squared_error[f])
+            assert np.array_equal(trials.nees[f], clean.nees[f])
 
         calls.clear()
         summary, _ = run_monte_carlo(cfg)
@@ -219,18 +236,21 @@ class TestFailureContract:
 class TestRunMonteCarlo:
     def test_single_trial_degenerate(self):
         cfg = small_config(trials=1, filters=("kf",))
-        summary, records = run_monte_carlo(cfg)
+        summary, trials = run_monte_carlo(cfg)
         assert summary.n_eff in (0, 1)
         if summary.n_eff == 1:
-            expected = np.sqrt(records[0].squared_error["kf"] / summary.kf_cov_trace)
+            expected = np.sqrt(trials.squared_error["kf"][0] / summary.kf_cov_trace)
             assert np.allclose(summary.nrmse["kf"], expected)
 
     def test_discard_accounting(self):
         cfg = small_config(trials=12, noise="t")
-        summary, records = run_monte_carlo(cfg)
-        names = set(summary.filters) | {"kf"}
-        discarded = sum(any(r.diverged[f] for f in names) for r in records)
+        summary, trials = run_monte_carlo(cfg)
+        assert set(trials.diverged) == set(summary.filters) | {"kf"}
+        discarded = np.any(list(trials.diverged.values()), axis=0).sum()
         assert summary.n_eff + discarded == summary.n_trials
+        for f in summary.filters:
+            assert trials.diverged[f].sum() == summary.lost_tracks[f]
+            assert np.all(trials.diverged[f][trials.failed[f]])
 
     def test_parallel_matches_serial(self):
         cfg_serial = small_config(workers=1)
@@ -240,8 +260,11 @@ class TestRunMonteCarlo:
         for f in s1.filters:
             assert np.array_equal(s1.nrmse[f], s2.nrmse[f])
             assert np.array_equal(s1.anees[f], s2.anees[f])
-        for a, b in zip(r1, r2):
-            assert np.array_equal(a.squared_error["kf"], b.squared_error["kf"])
+        assert r1.trial_ids.tolist() == r2.trial_ids.tolist() == list(range(cfg_serial.trials))
+        for f in r1.squared_error:
+            assert np.array_equal(r1.squared_error[f], r2.squared_error[f])
+            assert np.array_equal(r1.nees[f], r2.nees[f])
+            assert np.array_equal(r1.diverged[f], r2.diverged[f])
 
 
 class TestEmitCsv:
@@ -251,7 +274,10 @@ class TestEmitCsv:
                              anees={"kf": np.empty(0)}, interval=(0.0, 1.0),
                              lost_tracks={"kf": 0}, n_trials=0, n_eff=0,
                              kf_cov_trace=np.empty(0))
-        paths = emit_csv([], summary, tmp_path)
+        empty = Trials(np.empty(0, dtype=np.int64), {"kf": np.empty((0, 0))},
+                       {"kf": np.empty((0, 0))}, {"kf": np.empty(0, dtype=bool)},
+                       {"kf": np.empty(0, dtype=bool)})
+        paths = emit_csv(empty, summary, tmp_path)
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert lines == ["k,kf_nrmse,kf_anees,interval_low,interval_high"]
         lines = (tmp_path / "trials.csv").read_text().strip().splitlines()
@@ -259,8 +285,8 @@ class TestEmitCsv:
 
     def test_round_trip_nrmse(self, tmp_path):
         cfg = small_config()
-        summary, records = run_monte_carlo(cfg)
-        emit_csv(records, summary, tmp_path)
+        summary, trials = run_monte_carlo(cfg)
+        emit_csv(trials, summary, tmp_path)
         # recompute one summary cell from the trials file
         rows = (tmp_path / "trials.csv").read_text().strip().splitlines()[1:]
         k_query = 17
@@ -294,9 +320,9 @@ class TestEmitCsv:
         outs = []
         for i, workers in enumerate([1, 1, 2, 3]):
             cfg = small_config(workers=workers)
-            summary, records = run_monte_carlo(cfg)
+            summary, trials = run_monte_carlo(cfg)
             out = tmp_path / f"run{i}"
-            emit_csv(records, summary, out)
+            emit_csv(trials, summary, out)
             outs.append(out)
         for name in ("summary.csv", "trials.csv", "lost_tracks.csv"):
             ref = (outs[0] / name).read_bytes()

@@ -79,8 +79,23 @@ class TestDetectDivergence:
         assert detect_divergence(se, env, 5)
         assert not detect_divergence(se, env, 6)
 
+    def test_stack_gives_one_flag_per_trial(self):
+        env = np.ones(10)
+        stack = np.ones((4, 10))
+        stack[1, 2] = 5.0      # before the threshold
+        stack[2, 6] = 1.0001   # after it
+        stack[3, 9] = np.inf   # a failed update
+        flags = detect_divergence(stack, env, 5)
+        assert flags.tolist() == [False, False, True, True]
+        assert flags.tolist() == [detect_divergence(row, env, 5) for row in stack]
+        assert detect_divergence(np.ones((0, 10)), env, 5).shape == (0,)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             detect_divergence(np.ones(5), np.ones(4), 0)
+        with pytest.raises(ValueError):
+            detect_divergence(np.ones((3, 5)), np.ones(4), 0)
+        with pytest.raises(ValueError):
+            detect_divergence(np.ones(5), np.ones((1, 5)), 0)
         with pytest.raises(ValueError):
             detect_divergence(np.ones(5), np.ones(5), 5)

@@ -67,10 +67,20 @@ class TestLinearModel:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             LinearModel(np.eye(2), np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
+        nan_diag = np.diag([1.0, np.nan])
+        for F, Q, H in [(np.eye(2), nan_diag, np.eye(2)),
+                        (np.eye(2), np.diag([np.inf, 1.0]), np.eye(2)),
+                        (nan_diag, np.eye(2), np.eye(2)),
+                        (np.eye(2), np.eye(2), nan_diag)]:
+            with pytest.raises(ValueError):
+                LinearModel(F, Q, H, np.eye(2))
 
     def test_rejects_singular_rbar(self):
         with pytest.raises(ValueError):
             LinearModel(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        for Rbar in ([[1.0, np.nan], [np.nan, 1.0]], np.diag([np.inf, 1.0])):
+            with pytest.raises(ValueError):
+                LinearModel(np.eye(2), np.eye(2), np.eye(2), Rbar)
 
 
 class TestPredict:
