@@ -5,8 +5,9 @@ position measurements, run under one of three noise regimes. Trials are
 independent and deterministic given (seed, trial id): each is simulated
 from its own stream, and the filters then advance a stack of trials one
 update at a time through their batched kernels, whose rows do not depend
-on each other. Aggregation is an ordered fold over trial ids, so neither
-the stacking nor parallel execution over chunks of trials can change output.
+on each other. The results are one stack of per-trial rows in trial-id
+order, and every summary is a reduction over its rows, so neither the
+stacking nor parallel execution over chunks of trials can change output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .kalman import kf_batch, kf_update, pcrlb_recursion
 from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
-from .specfun import RngStream, reg_lower_inc_gamma, sample_mvn
+from .specfun import RngStream, sample_mvn
 from .statespace import (
     LinearModel,
     cv_process_noise,
@@ -215,12 +216,11 @@ def _filter_updates(config: ScenarioConfig, model: LinearModel) -> dict:
     its squared-error envelope defines track loss for every filter."""
     H = model.H
     R = config.r_bar * np.eye(MEAS_DIM)
-    p_gate = reg_lower_inc_gamma(MEAS_DIM / 2.0, config.gate**2 / 2.0)
     args = {
         "kf": (kf_batch, H, R),
         "nvmf": (nvmf_batch, model, config.mixing(), config.nvmf_config()),
         "pdaf": (pdaf_batch, H, R,
-                 PdafConfig(config.p_detect, config.gate, config.clutter_density, p_gate=p_gate)),
+                 PdafConfig(config.p_detect, config.gate, config.clutter_density)),
         "kfor": (kfor_batch, H, R, KforConfig(config.tau, config.w)),
     }
     names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]

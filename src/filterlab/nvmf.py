@@ -15,6 +15,11 @@ quantities have closed forms:
     r | x, z  ~ InvGamma(M/2 + alpha, zeta + beta)
     psi  = (zeta + beta) / (M/2 + alpha)          # 1 / E[1/r]
     phi  = (zeta + beta) / sqrt(M/2 + alpha)      # 1 / sd[1/r]
+
+Since psi is a scalar, every EM step's innovation covariance, whitened by
+C = chol(Rbar), is C^-1 H P H' C^-T + psi I: the same eigenvectors at every
+step, eigenvalues shifted by psi. The batched update therefore factors each
+row once and runs the EM on elementwise arrays (see nvmf_batch).
 """
 
 from __future__ import annotations
@@ -104,18 +109,14 @@ class NvmfDiagnostics:
 
 # The closed forms below take one state, or a stack with a leading batch
 # axis (x (N, n), z (N, m), zeta_val (N,), P_inf (N, n, n), u (N, n)).
-# zeta and u_vector are thin wrappers that invert the shape matrix; the
-# update kernel inverts it once and calls _zeta and _u_vector directly.
+# nvmf_batch evaluates zeta and the log posterior in the whitened
+# eigenbasis instead; zeta and log_posterior keep the direct forms.
 
 def zeta(x, z, H, Rbar):
     """Half squared Mahalanobis distance of the residual under the shape matrix."""
-    return _zeta(x, z, H, np.linalg.inv(np.asarray(Rbar, dtype=float)))
-
-
-def _zeta(x, z, H, rb_inv):
     resid = np.asarray(z, dtype=float) - matvec(np.asarray(H, dtype=float),
                                                 np.asarray(x, dtype=float))
-    return 0.5 * rowdot(resid, matvec(rb_inv, resid))
+    return 0.5 * rowdot(resid, matvec(np.linalg.inv(np.asarray(Rbar, dtype=float)), resid))
 
 
 def psi(zeta_val, mixing: InverseGammaMixing, M: int):
@@ -141,21 +142,16 @@ def log_posterior(x, prior: GaussianBelief, z, H, Rbar, mixing: InverseGammaMixi
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    l_inv = np.linalg.inv(cholesky_pd(prior.cov, x - prior.mean))
-    return float(_log_post(prior.mean, l_inv, x, zeta(x, z, H, Rbar), mixing, len(z)))
-
-
-def _log_post(x_pred, l_inv, x, zeta_x, mixing: InverseGammaMixing, M: int):
-    # l_inv is the inverse Cholesky factor of the predicted covariance, so
-    # |l_inv (x - x_pred)|^2 is the prior quadratic form.
-    w = matvec(l_inv, x - x_pred)
-    return -0.5 * rowdot(w, w) - (M / 2.0 + mixing.alpha) * np.log1p(zeta_x / mixing.beta)
+    dx = x - prior.mean
+    w = np.linalg.solve(cholesky_pd(prior.cov, dx), dx)
+    return float(-0.5 * (w @ w)
+                 - (len(z) / 2.0 + mixing.alpha) * math.log1p(zeta(x, z, H, Rbar) / mixing.beta))
 
 
 def u_vector(x_hat, z, H, Rbar, phi_val):
     """Scaled residual gradient H' (phi Rbar)^-1 (H x - z) used by the correction."""
     phi_val = np.asarray(phi_val, dtype=float)
-    if np.any(phi_val <= 0.0):
+    if not np.all(phi_val > 0.0):
         raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
     return _u_vector(x_hat, z, H, np.linalg.inv(np.asarray(Rbar, dtype=float)), phi_val)
 
@@ -176,7 +172,7 @@ def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     P_inf = np.asarray(P_inf, dtype=float)
     pu, denom = _correction_denominator(P_inf, np.asarray(u, dtype=float))
-    if np.any(denom <= 0.0):
+    if not np.all(denom > 0.0):
         raise CovarianceCorrectionError(float(np.min(denom)))
     return _corrected(P_inf, pu, denom)
 
@@ -200,13 +196,21 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     covariance psi(x_i) * Rbar and tracks the log posterior; a row stops
     when its increase falls below epsilon (never, in fixed-iteration mode)
     or at max_iterations. A decrease beyond tolerance fails the row, since
-    the recursion guarantees monotonicity. Rows leave the loop one by one,
-    so each keeps its own stopping point.
+    the recursion guarantees monotonicity.
+
+    With C = chol(Rbar) and C^-1 H P H' C^-T = U diag(lam) U', the update at
+    psi is x_pred + B w with B = P H' C^-T U, w = nu / (lam + psi) and
+    nu = U' C^-1 (z - H x_pred). Its whitened residual is U (psi w), so
+    zeta = |psi w|^2 / 2, and its prior quadratic form is sum(lam w^2). One
+    eigendecomposition per row thus makes every iteration elementwise, and
+    each row keeps its own stopping point through the active mask.
 
     Returns (mean, cov, status, NvmfDiagnostics of per-row arrays).
     """
     H = model.H
     rb_inv = np.linalg.inv(model.Rbar)
+    c_inv = np.linalg.inv(np.linalg.cholesky(model.Rbar))
+    wh = c_inv @ H               # whitened measurement matrix C^-1 H
     N, n = mean.shape
     m = H.shape[0]
     status = np.zeros(N, dtype=np.int8)
@@ -215,63 +219,51 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
     p_chol_inv, bad = rowwise(np.linalg.inv, p_chol)
     mark_failed(status, bad | ~finite_rows(z), Failure.NON_FINITE)
-    hp = H @ cov
-    a_part = hp @ H.T            # H P H'
-    innovation = z - matvec(H, mean)
+    whp = wh @ cov
+    (lam, U), bad = rowwise(np.linalg.eigh, whp @ wh.T)
+    mark_failed(status, bad, Failure.NON_FINITE)
+    basis = whp.swapaxes(-1, -2) @ U
+    nu = matvec(U.swapaxes(-1, -2), matvec(c_inv, z - matvec(H, mean)))
 
-    zeta_x = _zeta(mean, z, H, rb_inv)
+    shape = m / 2.0 + mixing.alpha
+    zeta_x = 0.5 * rowdot(nu, nu)
     trace = np.full((N, config.max_iterations + 1), np.nan)
-    trace[:, 0] = _log_post(mean, p_chol_inv, mean, zeta_x, mixing, m)
+    log_post = -shape * np.log1p(zeta_x / mixing.beta)
+    trace[:, 0] = log_post
     iterations = np.zeros(N, dtype=np.int64)
-    x_out = mean.copy()
-    zeta_out = zeta_x.copy()
-    psi_out = np.full(N, np.nan)
-    gain_out = np.zeros((N, n, m))
-
-    # Working set: the rows still iterating, compacted as rows leave.
-    rows = np.flatnonzero(status == 0)
-    state = [mean, z, hp, a_part, innovation, p_chol_inv, zeta_x, trace[:, 0]]
-    if rows.size < N:
-        state = [a[rows] for a in state]
+    psi_x = psi(zeta_x, mixing, m)
+    active = status == 0
     for it in range(1, config.max_iterations + 1):
-        if not rows.size:
-            break
-        x_pred, z_r, hp_r, a_r, innov_r, l_inv_r, zeta_r, lam_r = state
-        psi_r = psi(zeta_r, mixing, m)
-        S = symmetrize(a_r + psi_r[:, None, None] * model.Rbar)
-        _, not_pd = rowwise(np.linalg.cholesky, S)
-        gain_t, singular = rowwise(np.linalg.solve, S, hp_r)
-        gain = gain_t.swapaxes(-1, -2)
-        x = x_pred + matvec(gain, innov_r)
-        zeta_r = _zeta(x, z_r, H, rb_inv)
-        lam = _log_post(x_pred, l_inv_r, x, zeta_r, mixing, m)
-        delta = lam - lam_r
-        trace[rows, it] = lam
-        state[6:] = [zeta_r, lam]
+        w = nu / (lam + psi_x[:, None])
+        psi_w = psi_x[:, None] * w
+        zeta_x = 0.5 * rowdot(psi_w, psi_w)
+        prev = log_post
+        log_post = -0.5 * rowdot(lam * w, w) - shape * np.log1p(zeta_x / mixing.beta)
+        delta = log_post - prev
+        trace[active, it] = log_post[active]
 
-        failed = not_pd | singular | ~(delta >= -_MONOTONICITY_TOL)
+        not_pd = ~(lam + psi_x[:, None] > 0.0).all(axis=1)
+        failed = active & (not_pd | ~(delta >= -_MONOTONICITY_TOL))
+        mark_failed(status, failed & not_pd, Failure.NOT_POSITIVE_DEFINITE)
+        mark_failed(status, failed & ~np.isfinite(log_post), Failure.NON_FINITE)
+        mark_failed(status, failed, Failure.EM_NOT_MONOTONE)
         done = failed | (it == config.max_iterations)
         if not config.fixed_iteration_mode:
             done |= delta < config.epsilon
-        if done.any():
-            if failed.any():
-                row_status = np.zeros(rows.size, dtype=np.int8)
-                mark_failed(row_status, not_pd | singular, Failure.NOT_POSITIVE_DEFINITE)
-                mark_failed(row_status, ~np.isfinite(lam), Failure.NON_FINITE)
-                mark_failed(row_status, failed, Failure.EM_NOT_MONOTONE)
-                status[rows] = row_status
-            out = rows[done]
-            iterations[out] = it
-            x_out[out] = x[done]
-            zeta_out[out] = zeta_r[done]
-            psi_out[out] = psi_r[done]
-            gain_out[out] = gain[done]
-            if done.all():
-                break
-            rows = rows[~done]
-            state = [a[~done] for a in state]
+        iterations[active & done] = it
+        active &= ~done
+        if not active.any():
+            break
+        psi_x = np.where(active, psi(zeta_x, mixing, m), psi_x)
 
-    p_inf = symmetrize((np.eye(n) - gain_out @ H) @ cov)
+    # Each row's final x, zeta and gain, at the psi its last iteration used.
+    scaled = 1.0 / (lam + psi_x[:, None])
+    w = nu * scaled
+    psi_w = psi_x[:, None] * w
+    x_out = mean + matvec(basis, w)
+    zeta_out = 0.5 * rowdot(psi_w, psi_w)
+    gain = (basis * scaled[:, None, :]) @ U.swapaxes(-1, -2) @ c_inv
+    p_inf = symmetrize((np.eye(n) - gain @ H) @ cov)
     phi_val = phi(zeta_out, mixing, m)
     u = _u_vector(x_out, z, H, rb_inv, phi_val)
     pu, denom = _correction_denominator(p_inf, u)
@@ -286,7 +278,7 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     audited = (status == 0) & (denom >= _AUDIT_DENOM_MIN)
     if audited.any():
         p_info = p_chol_inv.swapaxes(-1, -2) @ p_chol_inv
-        p_inf_info = p_info + (H.T @ rb_inv @ H) / psi_out[:, None, None]
+        p_inf_info = p_info + (H.T @ rb_inv @ H) / psi_x[:, None, None]
         resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - np.eye(n)
         violated = (resid * resid).sum(axis=(-2, -1)) > _AUDIT_TOL**2 * n
         mark_failed(status, audited & violated, Failure.CORRECTION_IDENTITY)
@@ -295,7 +287,7 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     diagnostics = NvmfDiagnostics(
         iterations_used=iterations,
         log_posterior_trace=trace,
-        final_psi=psi_out,
+        final_psi=psi_x,
         final_phi=phi_val,
         correction_denominator=denom,
         correction_fallback=fallback,

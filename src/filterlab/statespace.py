@@ -132,7 +132,13 @@ class LinearModel:
         self.Q = np.asarray(self.Q, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         self.Rbar = np.asarray(self.Rbar, dtype=float)
-        for name in ("F", "Q", "H", "Rbar"):
+        if self.F.ndim != 2 or self.H.ndim != 2:
+            raise ValueError("F and H must be matrices")
+        n, m = self.F.shape[1], self.H.shape[0]
+        for name, shape in (("F", (n, n)), ("Q", (n, n)), ("H", (m, n)), ("Rbar", (m, m))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, "
+                                 f"got shape {getattr(self, name).shape}")
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if np.abs(self.Q - self.Q.T).max() > 1e-10 * max(np.abs(self.Q).max(), 1.0):

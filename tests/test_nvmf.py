@@ -199,6 +199,11 @@ class TestUVector:
         u12 = u_vector(x1 + x2, z, H, np.eye(2), 1.7)
         assert np.allclose(u12, u1 + u2, atol=1e-12)
 
+    @pytest.mark.parametrize("phi_val", [0.0, -1.0, np.nan])
+    def test_nonpositive_phi_raises(self, phi_val):
+        with pytest.raises(ValueError):
+            u_vector(np.array([5.0]), np.array([1.0]), np.eye(1), np.eye(1), phi_val)
+
 
 class TestCovarianceCorrection:
     def test_zero_u(self):
@@ -241,6 +246,9 @@ class TestCovarianceCorrection:
         with pytest.raises(CovarianceCorrectionError) as exc:
             covariance_correction(P, u)
         assert exc.value.denominator < 0.0
+        # a NaN u has no denominator to check
+        with pytest.raises(CovarianceCorrectionError):
+            covariance_correction(P, np.array([np.nan, 0.0]))
 
 
 class TestNvmfUpdate:

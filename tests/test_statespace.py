@@ -71,7 +71,12 @@ class TestLinearModel:
         for F, Q, H in [(np.eye(2), nan_diag, np.eye(2)),
                         (np.eye(2), np.diag([np.inf, 1.0]), np.eye(2)),
                         (nan_diag, np.eye(2), np.eye(2)),
-                        (np.eye(2), np.eye(2), nan_diag)]:
+                        (np.eye(2), np.eye(2), nan_diag),
+                        # inconsistent shapes: Q, H or F of the wrong size
+                        (np.eye(4), np.eye(3), np.eye(2, 4)),
+                        (np.eye(4), np.eye(4), np.eye(2, 3)),
+                        (np.eye(4, 3), np.eye(4), np.eye(2, 4)),
+                        (np.eye(2), np.eye(2), np.ones(2))]:
             with pytest.raises(ValueError):
                 LinearModel(F, Q, H, np.eye(2))
 
@@ -81,6 +86,9 @@ class TestLinearModel:
         for Rbar in ([[1.0, np.nan], [np.nan, 1.0]], np.diag([np.inf, 1.0])):
             with pytest.raises(ValueError):
                 LinearModel(np.eye(2), np.eye(2), np.eye(2), Rbar)
+        # H is 2x4, so Rbar must be 2x2
+        with pytest.raises(ValueError):
+            LinearModel(np.eye(4), np.eye(4), np.eye(2, 4), np.eye(3))
 
 
 class TestPredict:
