@@ -34,6 +34,7 @@ from .statespace import (
     LinearModel,
     cv_process_noise,
     cv_transition,
+    matvec,
     predict,
     predict_batch,
     rowdot,
@@ -45,6 +46,8 @@ from .statespace import (
 FILTER_ORDER = ("kf", "nvmf", "pdaf", "kfor")
 STATE_DIM = 4
 MEAS_DIM = 2
+# The measurement matrix: the position part of the state.
+POSITION_H = np.eye(MEAS_DIM, STATE_DIM)
 
 
 @dataclass
@@ -136,11 +139,10 @@ class ScenarioConfig:
         return self.clutter_per_gate / gate_volume
 
     def model(self) -> LinearModel:
-        H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         return LinearModel(
             F=cv_transition(self.T),
             Q=cv_process_noise(self.T, self.q),
-            H=H,
+            H=POSITION_H,
             Rbar=np.eye(MEAS_DIM),
         )
 
@@ -189,24 +191,26 @@ def simulate_truth(config: ScenarioConfig, rng: RngStream):
     initialization measurements follow the standard Gaussian model (matching
     the covariance the two-point initializer assumes); init_from_regime
     draws them from the configured noise regime instead, for ablation.
+    Draws are taken from rng in this order: the two initialization noises,
+    then the K process-noise vectors.
     """
     K = config.updates
     F = cv_transition(config.T)
-    Q = cv_process_noise(config.T, config.q)
     x0 = np.asarray(config.x0)
     x_back = cv_transition(-config.T) @ x0
-    H = config.model().H
 
-    regime = config.noise_regime()
-    init_regime = (regime if config.init_from_regime
+    init_regime = (config.noise_regime() if config.init_from_regime
                    else GaussianNoise(config.r_bar, np.eye(MEAS_DIM)))
-    z_minus1 = H @ x_back + sample_noise(init_regime, rng)
-    z_0 = H @ x0 + sample_noise(init_regime, rng)
+    init_noise = sample_noise(init_regime, rng, size=2)
+    z_minus1 = POSITION_H @ x_back + init_noise[0]
+    z_0 = POSITION_H @ x0 + init_noise[1]
 
+    process_noise = sample_mvn(np.zeros(STATE_DIM), cv_process_noise(config.T, config.q), rng,
+                               size=K)
     truth = np.empty((K + 1, STATE_DIM))
     truth[0] = x0
     for k in range(1, K + 1):
-        truth[k] = F @ truth[k - 1] + sample_mvn(np.zeros(STATE_DIM), Q, rng)
+        truth[k] = F @ truth[k - 1] + process_noise[k - 1]
     return truth, z_minus1, z_0
 
 
@@ -257,8 +261,7 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     for j, trial_id in enumerate(ids.tolist()):
         rng = RngStream(config.seed, trial_id)
         truth[j], z_minus1, z_0 = simulate_truth(config, rng)
-        for k in range(K):
-            measurements[k, j] = H @ truth[j, k + 1] + sample_noise(regime, rng)
+        measurements[:, j] = matvec(H, truth[j, 1:]) + sample_noise(regime, rng, size=K)
         init = two_point_init(z_0, z_minus1, config.T, R)
         init_mean[j], init_cov[j] = init.mean, init.cov
 

@@ -36,7 +36,7 @@ class UpdateDiagnostics:
 def _innovation_cov(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
     S = symmetrize(H @ P @ H.T + R)
     w = np.linalg.eigvalsh(S)
-    if w[0] <= 0.0 or w[-1] > COND_LIMIT * w[0]:
+    if w[0] <= 0.0 or w[-1] / COND_LIMIT > w[0]:
         raise NumericalError(
             f"innovation covariance is singular or ill conditioned "
             f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
@@ -58,7 +58,7 @@ def kf_batch(mean, cov, z, H, R):
     S = symmetrize(hp @ H.T + R)
     w, bad = rowwise(np.linalg.eigvalsh, S)
     mark_failed(status, bad, Failure.NON_FINITE)
-    mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] > COND_LIMIT * w[:, 0]),
+    mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                 Failure.ILL_CONDITIONED)
     gain_t, bad = rowwise(np.linalg.solve, S, hp)
     mark_failed(status, bad, Failure.ILL_CONDITIONED)

@@ -7,7 +7,35 @@ from typing import Union
 
 import numpy as np
 
-from .specfun import RngStream, sample_inverse_gamma, sample_mvn
+# sample_inverse_gamma is unused here: it stays because the benchmark's tracer
+# (perfbench/tracing.py) wraps it here, and its test_tracer_restores_wrapped_names
+# fails without it. The t regime draws its scales in sample_t_mixture, so that
+# span reads 0 in a traced run.
+from .specfun import (
+    RngStream,
+    indefinite,
+    mvn_factor,
+    sample_inverse_gamma,  # noqa: F401
+    sample_mvn,
+    sample_t_mixture,
+)
+from .statespace import matvec
+
+
+def _shape_matrix(Rbar) -> np.ndarray:
+    """Rbar as a float array, or ValueError unless it is a finite, symmetric,
+    positive-semidefinite square matrix (semidefinite within the rounding
+    sample_mvn allows)."""
+    Rbar = np.asarray(Rbar, dtype=float)
+    if Rbar.ndim != 2 or Rbar.shape[0] != Rbar.shape[1] or not Rbar.size:
+        raise ValueError(f"Rbar must be a square matrix, got shape {Rbar.shape}")
+    if not np.all(np.isfinite(Rbar)):
+        raise ValueError("Rbar must be finite")
+    if np.abs(Rbar - Rbar.T).max() > 1e-10 * max(np.abs(Rbar).max(), 1.0):
+        raise ValueError("Rbar must be symmetric")
+    if indefinite(np.linalg.eigvalsh(Rbar)):
+        raise ValueError("Rbar must be positive semidefinite")
+    return Rbar
 
 
 @dataclass
@@ -18,7 +46,7 @@ class GaussianNoise:
     def __post_init__(self):
         if not self.r_bar > 0.0:
             raise ValueError("r_bar must be positive")
-        self.Rbar = np.asarray(self.Rbar, dtype=float)
+        self.Rbar = _shape_matrix(self.Rbar)
 
 
 @dataclass
@@ -36,7 +64,7 @@ class GaussianUniformNoise:
             raise ValueError("scale parameters must be positive")
         if not 0.0 <= self.p_out <= 1.0:
             raise ValueError("p_out must lie in [0, 1]")
-        self.Rbar = np.asarray(self.Rbar, dtype=float)
+        self.Rbar = _shape_matrix(self.Rbar)
 
 
 @dataclass
@@ -52,25 +80,48 @@ class MultivariateTNoise:
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
-        self.Rbar = np.asarray(self.Rbar, dtype=float)
+        self.Rbar = _shape_matrix(self.Rbar)
 
 
 NoiseRegime = Union[GaussianNoise, GaussianUniformNoise, MultivariateTNoise]
 
 
-def sample_noise(regime: NoiseRegime, rng: RngStream) -> np.ndarray:
-    """One measurement-noise draw from the selected regime."""
+def _gaussian_uniform(regime: GaussianUniformNoise, rng: RngStream, n: int) -> np.ndarray:
+    m = regime.Rbar.shape[0]
+    half = 6.0 * np.sqrt(regime.r_out)
+    out = np.empty((n, m))
+    gaussian = np.zeros(n, dtype=bool)
+    for k in range(n):
+        if rng.uniform() < regime.p_out:
+            out[k] = rng.uniform(-half, half, size=m)
+        else:
+            out[k] = rng.standard_normal(m)
+            gaussian[k] = True
+    out[gaussian] = matvec(mvn_factor(regime.r_bar * regime.Rbar), out[gaussian])
+    return out
+
+
+def sample_noise(regime: NoiseRegime, rng: RngStream, size=None) -> np.ndarray:
+    """Measurement-noise draws from the selected regime: one draw (m,) for
+    size=None, else a block (size, m).
+
+    Row k of a block is bit for bit the k-th of size successive single
+    calls, and the block leaves rng where those calls would, since it takes
+    the same draws from the stream in the same order. Per draw that is:
+    Gaussian, m normals; Gaussian-uniform, the branch uniform, then m
+    uniforms or m normals; t, the inverse-gamma scale's gamma draws (a
+    normal and a uniform per try, then a uniform when alpha < 1), then m
+    normals. A block factors each covariance once (the t regime's in one
+    stacked call), so bulk draws cost far less per row than single calls.
+    """
+    n = 1 if size is None else int(size)
     if isinstance(regime, GaussianNoise):
         m = regime.Rbar.shape[0]
-        return sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng)
-    if isinstance(regime, GaussianUniformNoise):
-        m = regime.Rbar.shape[0]
-        if rng.uniform() < regime.p_out:
-            half = 6.0 * np.sqrt(regime.r_out)
-            return rng.uniform(-half, half, size=m)
-        return sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng)
-    if isinstance(regime, MultivariateTNoise):
-        m = regime.Rbar.shape[0]
-        r = sample_inverse_gamma(regime.alpha, regime.beta, rng)
-        return sample_mvn(np.zeros(m), r * regime.Rbar, rng)
-    raise TypeError(f"unknown noise regime {type(regime).__name__}")
+        draws = sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng, size=n)
+    elif isinstance(regime, GaussianUniformNoise):
+        draws = _gaussian_uniform(regime, rng, n)
+    elif isinstance(regime, MultivariateTNoise):
+        draws = sample_t_mixture(regime.alpha, regime.beta, regime.Rbar, rng, n)
+    else:
+        raise TypeError(f"unknown noise regime {type(regime).__name__}")
+    return draws[0] if size is None else draws

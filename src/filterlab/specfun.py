@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
+from .statespace import matvec
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -159,32 +160,68 @@ class RngStream:
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
+        if low == 0.0 and high == 1.0:
+            # Generator.uniform returns low + (high - low) * random(), which
+            # is random() itself here; random() skips the argument checks
+            # that make a single uniform draw cost 3x a normal one.
+            return self._gen.random(size)
         return self._gen.uniform(low, high, size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _gamma_mt(shape: float, rng: RngStream, n: int) -> np.ndarray:
-    # Marsaglia-Tsang squeeze method, shape >= 1, unit rate.
+def _mt_constants(shape: float):
+    # Marsaglia-Tsang squeeze method, shape >= 1, unit rate: a candidate
+    # from a standard normal x is d (1 + c x)^3.
     d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
+    return d, 1.0 / math.sqrt(9.0 * d)
+
+
+def _mt_cube(c: float, x):
+    # numpy's pow, never Python's **: the two differ in the last ulp, and the
+    # block and per-draw samplers must agree bit for bit.
+    return (1.0 + c * np.asarray(x, dtype=float)) ** 3
+
+
+def _mt_log_accept(d: float, x2, u, v):
+    # The full acceptance test, for candidates the squeeze did not accept.
+    return np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(v))
+
+
+def _gamma_mt(shape: float, rng: RngStream, n: int) -> np.ndarray:
+    d, c = _mt_constants(shape)
     out = np.empty(n)
     todo = np.arange(n)
     while todo.size:
         x = rng.standard_normal(todo.size)
         u = rng.uniform(size=todo.size)
-        v = (1.0 + c * x) ** 3
+        v = _mt_cube(c, x)
         ok = v > 0.0
         x2 = x * x
         accept = ok & (u < 1.0 - 0.0331 * x2 * x2)
         rest = ok & ~accept
         if np.any(rest):
-            safe_v = np.where(ok, v, 1.0)
-            accept |= rest & (np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(safe_v)))
+            accept |= rest & _mt_log_accept(d, x2, u, np.where(ok, v, 1.0))
         out[todo[accept]] = d * v[accept]
         todo = todo[~accept]
     return out
+
+
+def _mt_candidate(d: float, c: float, rng: RngStream) -> float:
+    """The normal x of one accepted candidate, drawn as _gamma_mt draws a
+    single sample (a normal, then a uniform, per try); the sample is
+    d * _mt_cube(c, x)."""
+    while True:
+        x = rng.standard_normal()
+        u = rng.uniform()
+        # 1 + c x is a multiple of 2^-53 when positive, so its cube cannot
+        # underflow: this is _gamma_mt's v > 0.
+        if not 1.0 + c * x > 0.0:
+            continue
+        x2 = x * x
+        if u < 1.0 - 0.0331 * x2 * x2 or _mt_log_accept(d, x2, [u], _mt_cube(c, [x]))[0]:
+            return x
 
 
 def sample_gamma(shape: float, rate: float, rng: RngStream, size=None):
@@ -213,6 +250,17 @@ def sample_inverse_gamma(alpha: float, beta: float, rng: RngStream, size=None):
     return 1.0 / g
 
 
+# A matrix whose smallest eigenvalue is below -_PSD_RTOL max(1, |largest|)
+# is indefinite; above it, a negative eigenvalue is rounding.
+_PSD_RTOL = 1e-10
+
+
+def indefinite(w: np.ndarray) -> bool:
+    """Whether a symmetric matrix with ascending eigenvalues w is indefinite
+    beyond rounding, the test sample_mvn applies to its covariance."""
+    return bool(w[0] < -_PSD_RTOL * max(1.0, abs(w[-1])))
+
+
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
@@ -220,20 +268,73 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         # Semidefinite matrices (zero included) fall through to an
         # eigendecomposition; genuinely indefinite input stays an error.
         w, v = np.linalg.eigh(cov)
-        tol = 1e-10 * max(1.0, abs(w[-1]))
-        if w[0] < -tol:
+        if indefinite(w):
             raise np.linalg.LinAlgError(
                 f"covariance is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             ) from None
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_mvn(mean, cov, rng: RngStream, size=None):
-    """Draw from a multivariate normal with the given mean and covariance."""
-    mean = np.asarray(mean, dtype=float)
+def mvn_factor(cov) -> np.ndarray:
+    """The factor L, L L' = cov, through which sample_mvn draws, for one
+    covariance (m, m) or for each of a stack (K, m, m). The stacked Cholesky
+    factors slice by slice, so each slice gets the bits of its own call."""
     cov = np.asarray(cov, dtype=float)
-    cov = 0.5 * (cov + cov.T)
-    factor = _psd_factor(cov)
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    if cov.ndim == 2:
+        return _psd_factor(cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return np.stack([_psd_factor(c) for c in cov])
+
+
+def sample_mvn(mean, cov, rng: RngStream, size=None):
+    """Draw from a multivariate normal with the given mean and covariance.
+
+    A block of size draws equals size successive single draws bit for bit
+    and leaves rng where they would: the covariance is factored once, the
+    normals are drawn in one call, and a stacked matvec gives each row the
+    bits of its own factor @ n.
+    """
+    mean = np.asarray(mean, dtype=float)
+    factor = mvn_factor(cov)
     if size is None:
         return mean + factor @ rng.standard_normal(mean.shape[0])
-    return mean + rng.standard_normal((int(size), mean.shape[0])) @ factor.T
+    return mean + matvec(factor, rng.standard_normal((int(size), mean.shape[0])))
+
+
+def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: RngStream,
+                     n: int) -> np.ndarray:
+    """n draws (n, m) of the inverse-gamma scale mixture N(0, r shape_matrix),
+    r ~ InvGamma(alpha, beta): a multivariate t with 2 alpha degrees of
+    freedom.
+
+    Each draw takes from rng what sample_inverse_gamma followed by a
+    zero-mean sample_mvn would, in that order (the squeeze method's normal
+    and uniform per try, the boost uniform when alpha < 1, then m normals),
+    and equals their result. The draws are taken one at a time; the gamma
+    transforms, the factors and the products run on all n at once. A gamma
+    draw that underflows to 0 (alpha of about 0.01 or less) raises
+    OverflowError, since its scale 1/g would be infinite.
+    """
+    boost = alpha < 1.0
+    d, c = _mt_constants(alpha + 1.0 if boost else alpha)
+    m = shape_matrix.shape[0]
+    x = np.empty(n)
+    u = np.empty(n)
+    normals = np.empty((n, m))
+    for k in range(n):
+        x[k] = _mt_candidate(d, c, rng)
+        if boost:
+            u[k] = rng.uniform()
+        normals[k] = rng.standard_normal(m)
+    g = d * _mt_cube(c, x)
+    if boost:
+        g *= u ** (1.0 / alpha)
+    g /= beta
+    if not g.all():
+        raise OverflowError(f"an inverse-gamma scale overflowed: its gamma draw underflowed "
+                            f"to 0 (alpha={alpha}, beta={beta})")
+    r = 1.0 / g
+    return matvec(mvn_factor(r[:, None, None] * shape_matrix), normals)

@@ -8,7 +8,7 @@ from filterlab import harness
 from filterlab.baselines import KforConfig, PdafConfig, pdaf_batch
 from filterlab.cli import main as cli_main
 from filterlab.kalman import kf_batch
-from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise
+from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from filterlab.nvmf import InverseGammaMixing, NvmfConfig
 from filterlab.harness import (
     FILTER_ORDER,
@@ -21,8 +21,8 @@ from filterlab.harness import (
     run_trials,
     simulate_truth,
 )
-from filterlab.specfun import RngStream
-from filterlab.statespace import cv_transition, predict_batch, two_point_init
+from filterlab.specfun import RngStream, sample_mvn
+from filterlab.statespace import cv_process_noise, cv_transition, predict_batch, two_point_init
 
 NAN = math.nan
 
@@ -94,6 +94,15 @@ class TestScenarioConfig:
         lambda: GaussianUniformNoise(1.0, np.eye(2), 0.1, NAN),
         lambda: MultivariateTNoise(NAN, 1.0, np.eye(2)),
         lambda: MultivariateTNoise(1.0, NAN, np.eye(2)),
+        lambda: GaussianNoise(1.0, [[1.0, NAN], [NAN, 1.0]]),
+        lambda: GaussianNoise(1.0, np.diag([1.0, -1.0])),
+        lambda: GaussianNoise(1.0, np.ones((2, 3))),
+        lambda: GaussianUniformNoise(1.0, [[1.0, NAN], [NAN, 1.0]], 0.1, 1.0),
+        lambda: GaussianUniformNoise(1.0, np.diag([1.0, -1.0]), 0.1, 1.0),
+        lambda: GaussianUniformNoise(1.0, np.ones((2, 3)), 0.1, 1.0),
+        lambda: MultivariateTNoise(1.0, 1.0, [[1.0, NAN], [NAN, 1.0]]),
+        lambda: MultivariateTNoise(1.0, 1.0, np.diag([1.0, -1.0])),
+        lambda: MultivariateTNoise(1.0, 1.0, np.ones((2, 3))),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):
@@ -135,7 +144,6 @@ class TestSimulateTruth:
             truth, _, _ = simulate_truth(cfg, RngStream(12, i))
             incs.append(truth[1] - F @ truth[0])
         cov = np.cov(np.stack(incs).T)
-        from filterlab.statespace import cv_process_noise
         Q = cv_process_noise(cfg.T, cfg.q)
         assert np.abs(cov - Q).max() < 0.05 * np.abs(Q).max()
 
@@ -152,6 +160,32 @@ class TestSimulateTruth:
                 residuals += [z_minus1 - H @ x_back, z_0 - H @ np.asarray(cfg.x0)]
             biggest = np.abs(residuals).max()
             assert (biggest > 10.0 * np.sqrt(cfg.r_bar)) == flag
+
+    @pytest.mark.parametrize("noise, init_from_regime",
+                             [("gaussian", False), ("t", True), ("gu", True)])
+    def test_matches_per_step_scheme(self, noise, init_from_regime):
+        # The bulk draws equal the per-step scheme bit for bit: one noise
+        # draw per init measurement, then one sample_mvn call, which factors
+        # Q afresh, per process-noise vector.
+        cfg = small_config(noise=noise, init_from_regime=init_from_regime, q=0.5)
+        F = cv_transition(cfg.T)
+        Q = cv_process_noise(cfg.T, cfg.q)
+        H = cfg.model().H
+        x0 = np.asarray(cfg.x0)
+        x_back = cv_transition(-cfg.T) @ x0
+        for i in range(5):
+            rng = RngStream(14, i)
+            if init_from_regime:
+                init = [sample_noise(cfg.noise_regime(), rng) for _ in range(2)]
+            else:
+                init = [sample_mvn(np.zeros(2), cfg.r_bar * np.eye(2), rng) for _ in range(2)]
+            truth = [x0]
+            for _ in range(cfg.updates):
+                truth.append(F @ truth[-1] + sample_mvn(np.zeros(4), Q, rng))
+            got_truth, z_minus1, z_0 = simulate_truth(cfg, RngStream(14, i))
+            assert got_truth.tobytes() == np.stack(truth).tobytes()
+            assert z_minus1.tobytes() == (H @ x_back + init[0]).tobytes()
+            assert z_0.tobytes() == (H @ x0 + init[1]).tobytes()
 
 
 class TestRunTrial:

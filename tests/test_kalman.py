@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from filterlab.errors import NumericalError
-from filterlab.kalman import kf_information_update, kf_update, pcrlb_recursion
+from filterlab.kalman import kf_batch, kf_information_update, kf_update, pcrlb_recursion
 from filterlab.statespace import GaussianBelief, LinearModel, cv_process_noise, cv_transition, two_point_init
 
 
@@ -67,6 +69,17 @@ class TestKfUpdate:
         R = np.diag([1.0, 1e-13])
         with pytest.raises(NumericalError):
             kf_update(prior, np.zeros(2), np.eye(2), R)
+
+    def test_condition_test_does_not_overflow(self):
+        # Eigenvalues near 1e300: COND_LIMIT times the smallest would overflow.
+        prior = GaussianBelief(np.zeros(2), np.eye(2))
+        R = 1e300 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post, _ = kf_information_update(prior, np.ones(2), np.eye(2), R)
+            _, _, status, _ = kf_batch(prior.mean[None], prior.cov[None], np.ones((1, 2)),
+                                       np.eye(2), R)
+        assert np.allclose(post.mean, prior.mean) and status[0] == 0
 
 
 class TestKfInformationUpdate:

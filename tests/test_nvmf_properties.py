@@ -32,9 +32,7 @@ def oracle_em(prior: GaussianBelief, z, H, Rbar, mixing) -> np.ndarray:
     value = log_posterior(x, prior, z, H, Rbar, mixing)
     for _ in range(CONFIG.max_iterations):
         noise = psi(zeta(x, z, H, Rbar), mixing, len(z)) * Rbar
-        # COND_LIMIT * (an eigenvalue near 1e300) overflows to inf, harmlessly.
-        with np.errstate(over="ignore"):
-            x = kf_information_update(prior, z, H, noise)[0].mean
+        x = kf_information_update(prior, z, H, noise)[0].mean
         previous, value = value, log_posterior(x, prior, z, H, Rbar, mixing)
         if value - previous < EPSILON:
             break

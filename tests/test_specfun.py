@@ -149,6 +149,16 @@ class TestRngStream:
         b = RngStream(42, 2).standard_normal(50)
         assert not np.array_equal(a, b)
 
+    def test_uniform_matches_generator_uniform(self):
+        # uniform on [0, 1) takes numpy's random(); the draws and the stream
+        # position are Generator.uniform's.
+        rng = RngStream(42, 5)
+        gen = np.random.Generator(np.random.Philox(key=np.array([42, 5], dtype=np.uint64)))
+        assert rng.uniform(size=1000).tobytes() == gen.uniform(0.0, 1.0, 1000).tobytes()
+        assert [rng.uniform() for _ in range(100)] == [gen.uniform() for _ in range(100)]
+        assert rng.uniform(-2.0, 3.0, size=5).tobytes() == gen.uniform(-2.0, 3.0, 5).tobytes()
+        assert rng.standard_normal(5).tobytes() == gen.standard_normal(5).tobytes()
+
 
 class TestSampleGamma:
     def test_mean_large_sample(self):
