@@ -17,7 +17,6 @@ from .statespace import (
     mark_failed,
     matvec,
     rowdot,
-    rowwise,
     symmetrize,
     update_one,
 )
@@ -74,8 +73,9 @@ def kfor_batch(mean, cov, z, H, R, config: KforConfig):
     H = np.asarray(H, dtype=float)
     R = np.asarray(R, dtype=float)
     residual = z - matvec(H, mean)
-    S = symmetrize(H @ cov @ H.T + R)
-    flags = np.abs(residual) / np.sqrt(np.diagonal(S, axis1=-2, axis2=-1)) > config.tau
+    S_diag = np.diagonal(H @ cov @ H.T + R, axis1=-2, axis2=-1)
+    # A non-positive variance gives NaN (no flag, no warning); kf_batch fails the row.
+    flags = np.abs(residual) / np.sqrt(np.where(S_diag > 0.0, S_diag, np.nan)) > config.tau
     R_used = R + (config.w**2 / 3.0) * (flags[..., None] * np.eye(R.shape[-1]))
     mean, cov, status, _ = kf_batch(mean, cov, z, H, R_used)
     return mean, cov, status, flags
@@ -102,39 +102,27 @@ def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
 
     where L is the Gaussian likelihood of the innovation. The combined
     posterior covariance is beta_0 * P_prior + beta_1 * P_kalman plus the
-    spread-of-means term beta_1 * (1 - beta_1) * G v v' G'.
+    spread-of-means term beta_1 * (1 - beta_1) * G v v' G'. The Kalman
+    posterior, gain G, S^-1 v and log det S are kf_batch's, so a row fails
+    on the same innovation covariances as there.
     Returns (mean, cov, status, gated (N,)).
     """
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    m = H.shape[0]
-    status = np.zeros(mean.shape[0], dtype=np.int8)
-    hp = H @ cov
-    S = symmetrize(hp @ H.T + R)
-    chol, bad = rowwise(np.linalg.cholesky, S)
-    mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
-    innovation = z - matvec(H, mean)
-    # One solve gives S^-1 v and S^-1 H P.
-    solved, bad = rowwise(np.linalg.solve, S, np.concatenate([innovation[..., None], hp], -1))
-    mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
-    d2 = rowdot(innovation, solved[..., 0])
+    kf_mean, kf_cov, status, d = kf_batch(mean, cov, z, H, R)
+    m = d.innovation.shape[-1]
+    d2 = rowdot(d.innovation, d.solved_innovation)
     gated = d2 > config.gate**2
 
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
-    likelihood = np.exp(-0.5 * d2 - 0.5 * (m * math.log(2.0 * math.pi) + logdet))
+    likelihood = np.exp(-0.5 * d2 - 0.5 * (m * math.log(2.0 * math.pi) + d.innovation_log_det))
     weight_miss = config.clutter_density * (1.0 - config.p_detect * config.gate_probability(m))
     weight_hit = config.p_detect * likelihood
     total = weight_hit + weight_miss
     beta_1 = np.divide(weight_hit, total, out=np.ones_like(total), where=total != 0.0)
     beta_0 = 1.0 - beta_1
 
-    gain = solved[..., 1:].swapaxes(-1, -2)
-    gv = matvec(gain, innovation)
+    gv = matvec(d.gain, d.innovation)
     post_mean = mean + beta_1[:, None] * gv
-    p_update = (np.eye(cov.shape[-1]) - gain @ H) @ cov
     spread = (beta_1 * (1.0 - beta_1))[:, None, None] * (gv[:, :, None] * gv[:, None, :])
-    post_cov = symmetrize(beta_0[:, None, None] * cov + beta_1[:, None, None] * p_update
-                          + spread)
+    post_cov = symmetrize(beta_0[:, None, None] * cov + beta_1[:, None, None] * kf_cov + spread)
     mean = np.where(gated[:, None], mean, post_mean)
     cov = np.where(gated[:, None, None], cov, post_cov)
     mark_failed(status, ~(finite_rows(mean) & finite_rows(cov)), Failure.NON_FINITE)

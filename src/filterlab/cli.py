@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from .harness import ScenarioConfig, emit_csv, run_monte_carlo
 from .nvmf import calibrate_mixing
@@ -24,12 +23,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trials", type=int, default=None)
     run_p.add_argument("--updates", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--filters", type=str, default=None,
+    run_p.add_argument("--filters", default=None,
+                       type=lambda text: tuple(f.strip() for f in text.split(",") if f.strip()),
                        help="comma-separated subset of kf,nvmf,pdaf,kfor")
     run_p.add_argument("--out", type=str, required=True)
     run_p.add_argument("--epsilon", type=float, default=None)
-    run_p.add_argument("--max-iters", type=int, default=None)
-    run_p.add_argument("--fixed-iters", action="store_true", default=None)
+    run_p.add_argument("--max-iters", dest="max_iterations", type=int, default=None)
+    run_p.add_argument("--fixed-iters", dest="fixed_iteration_mode", action="store_true",
+                       default=None)
     run_p.add_argument("--k-star", type=int, default=None)
     run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--beta", type=float, default=None)
@@ -47,34 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FIELDS = {
-    "noise": "noise",
-    "trials": "trials",
-    "updates": "updates",
-    "seed": "seed",
-    "epsilon": "epsilon",
-    "max_iters": "max_iterations",
-    "fixed_iters": "fixed_iteration_mode",
-    "k_star": "k_star",
-    "alpha": "alpha",
-    "beta": "beta",
-    "clutter_per_gate": "clutter_per_gate",
-    "init_from_regime": "init_from_regime",
-    "workers": "workers",
-}
-
-
 def _run(args) -> int:
     kwargs = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             kwargs.update(json.load(fh))
-    for arg_name, field in _RUN_FIELDS.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            kwargs[field] = value
-    if args.filters is not None:
-        kwargs["filters"] = tuple(f.strip() for f in args.filters.split(",") if f.strip())
+    # Each run flag's dest is the name of the ScenarioConfig field it sets.
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    kwargs.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     config = ScenarioConfig(**kwargs)
     summary, trials = run_monte_carlo(config)
     paths = emit_csv(trials, summary, args.out)
@@ -92,7 +73,6 @@ def _calibrate(args) -> int:
         r_out=args.r_out,
         rho=args.rho,
         r_regular=args.r_regular,
-        Rbar=np.eye(args.dim),
         M=args.dim,
         n_samples=args.samples,
         rng=rng,

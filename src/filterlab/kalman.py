@@ -28,12 +28,16 @@ COND_LIMIT = 1e12
 
 @dataclass
 class UpdateDiagnostics:
+    """Innovation v, its covariance S, the gain, S^-1 v, and log det S."""
+
     innovation: np.ndarray
     innovation_cov: np.ndarray
     gain: np.ndarray
+    solved_innovation: np.ndarray
+    innovation_log_det: np.ndarray
 
 
-def _innovation_cov(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _innovation_cov(P: np.ndarray, H: np.ndarray, R: np.ndarray):
     S = symmetrize(H @ P @ H.T + R)
     w = np.linalg.eigvalsh(S)
     if w[0] <= 0.0 or w[-1] / COND_LIMIT > w[0]:
@@ -41,7 +45,7 @@ def _innovation_cov(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
             f"innovation covariance is singular or ill conditioned "
             f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
         )
-    return S
+    return S, w
 
 
 def kf_batch(mean, cov, z, H, R):
@@ -49,7 +53,10 @@ def kf_batch(mean, cov, z, H, R):
 
     R is one (m, m) covariance or one per row. An innovation covariance
     that is not positive definite or worse conditioned than COND_LIMIT
-    fails its row. Returns (mean, cov, status, UpdateDiagnostics of stacks).
+    fails its row. One solve through S gives the gain and S^-1 v, and the
+    eigenvalues of the condition test give log det S (NaN on a row whose S
+    is not positive definite). Returns (mean, cov, status,
+    UpdateDiagnostics of stacks).
     """
     H = np.asarray(H, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -60,14 +67,15 @@ def kf_batch(mean, cov, z, H, R):
     mark_failed(status, bad, Failure.NON_FINITE)
     mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                 Failure.ILL_CONDITIONED)
-    gain_t, bad = rowwise(np.linalg.solve, S, hp)
-    mark_failed(status, bad, Failure.ILL_CONDITIONED)
-    gain = gain_t.swapaxes(-1, -2)
+    log_det = np.log(np.where(w > 0.0, w, np.nan)).sum(-1)
     innovation = z - matvec(H, mean)
+    solved, bad = rowwise(np.linalg.solve, S, np.concatenate([hp, innovation[..., None]], -1))
+    mark_failed(status, bad, Failure.ILL_CONDITIONED)
+    gain = solved[..., :-1].swapaxes(-1, -2)
     mean = mean + matvec(gain, innovation)
     cov = symmetrize((np.eye(cov.shape[-1]) - gain @ H) @ cov)
     mark_failed(status, ~(finite_rows(mean) & finite_rows(cov)), Failure.NON_FINITE)
-    return mean, cov, status, UpdateDiagnostics(innovation, S, gain)
+    return mean, cov, status, UpdateDiagnostics(innovation, S, gain, solved[..., -1], log_det)
 
 
 def kf_update(prior: GaussianBelief, z, H, R):
@@ -78,7 +86,7 @@ def kf_update(prior: GaussianBelief, z, H, R):
     check; the posterior covariance is re-symmetrized.
     """
     post, d = update_one(kf_batch, prior, z, H, R)
-    return post, UpdateDiagnostics(d.innovation[0], d.innovation_cov[0], d.gain[0])
+    return post, UpdateDiagnostics(*(field[0] for field in vars(d).values()))
 
 
 def kf_information_update(prior: GaussianBelief, z, H, R):
@@ -92,7 +100,7 @@ def kf_information_update(prior: GaussianBelief, z, H, R):
     H = np.asarray(H, dtype=float)
     R = np.asarray(R, dtype=float)
     P = prior.cov
-    S = _innovation_cov(P, H, R)
+    S, w = _innovation_cov(P, H, R)
     n = P.shape[0]
     prior_info = solve_pd(P, np.eye(n))
     rinv_h = solve_pd(R, H)
@@ -101,7 +109,9 @@ def kf_information_update(prior: GaussianBelief, z, H, R):
     innovation = z - H @ prior.mean
     mean = prior.mean + gain @ innovation
     cov = symmetrize(solve_pd(info, np.eye(n)))
-    return GaussianBelief(mean, cov), UpdateDiagnostics(innovation, S, gain)
+    diagnostics = UpdateDiagnostics(innovation, S, gain, solve_pd(S, innovation),
+                                    np.log(w).sum())
+    return GaussianBelief(mean, cov), diagnostics
 
 
 def pcrlb_recursion(prior_info: np.ndarray, model: LinearModel, r: float) -> np.ndarray:

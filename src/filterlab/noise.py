@@ -13,29 +13,12 @@ import numpy as np
 # span reads 0 in a traced run.
 from .specfun import (
     RngStream,
-    indefinite,
     mvn_factor,
     sample_inverse_gamma,  # noqa: F401
     sample_mvn,
     sample_t_mixture,
 )
-from .statespace import matvec
-
-
-def _shape_matrix(Rbar) -> np.ndarray:
-    """Rbar as a float array, or ValueError unless it is a finite, symmetric,
-    positive-semidefinite square matrix (semidefinite within the rounding
-    sample_mvn allows)."""
-    Rbar = np.asarray(Rbar, dtype=float)
-    if Rbar.ndim != 2 or Rbar.shape[0] != Rbar.shape[1] or not Rbar.size:
-        raise ValueError(f"Rbar must be a square matrix, got shape {Rbar.shape}")
-    if not np.all(np.isfinite(Rbar)):
-        raise ValueError("Rbar must be finite")
-    if np.abs(Rbar - Rbar.T).max() > 1e-10 * max(np.abs(Rbar).max(), 1.0):
-        raise ValueError("Rbar must be symmetric")
-    if indefinite(np.linalg.eigvalsh(Rbar)):
-        raise ValueError("Rbar must be positive semidefinite")
-    return Rbar
+from .statespace import checked_covariance, matvec
 
 
 @dataclass
@@ -46,7 +29,7 @@ class GaussianNoise:
     def __post_init__(self):
         if not self.r_bar > 0.0:
             raise ValueError("r_bar must be positive")
-        self.Rbar = _shape_matrix(self.Rbar)
+        self.Rbar = checked_covariance("Rbar", self.Rbar)
 
 
 @dataclass
@@ -64,7 +47,7 @@ class GaussianUniformNoise:
             raise ValueError("scale parameters must be positive")
         if not 0.0 <= self.p_out <= 1.0:
             raise ValueError("p_out must lie in [0, 1]")
-        self.Rbar = _shape_matrix(self.Rbar)
+        self.Rbar = checked_covariance("Rbar", self.Rbar)
 
 
 @dataclass
@@ -80,7 +63,7 @@ class MultivariateTNoise:
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
-        self.Rbar = _shape_matrix(self.Rbar)
+        self.Rbar = checked_covariance("Rbar", self.Rbar)
 
 
 NoiseRegime = Union[GaussianNoise, GaussianUniformNoise, MultivariateTNoise]

@@ -41,7 +41,6 @@ from .statespace import (
     matvec,
     rowdot,
     rowwise,
-    solve_pd,
     symmetrize,
     update_one,
 )
@@ -109,14 +108,22 @@ class NvmfDiagnostics:
 
 # The closed forms below take one state, or a stack with a leading batch
 # axis (x (N, n), z (N, m), zeta_val (N,), P_inf (N, n, n), u (N, n)).
-# nvmf_batch evaluates zeta and the log posterior in the whitened
-# eigenbasis instead; zeta and log_posterior keep the direct forms.
+# Each applies Rbar^-1 through the whitener C^-1, C = chol(Rbar), so that
+# r' Rbar^-1 s = (C^-1 r)' (C^-1 s). nvmf_batch whitens the same way and
+# then evaluates zeta and the log posterior in the whitened eigenbasis;
+# zeta and log_posterior keep the direct forms.
+
+def _whitener(Rbar, *others) -> np.ndarray:
+    """C^-1 for the lower Cholesky factor C of Rbar (errors as cholesky_pd)."""
+    return np.linalg.inv(cholesky_pd(Rbar, *others))
+
 
 def zeta(x, z, H, Rbar):
     """Half squared Mahalanobis distance of the residual under the shape matrix."""
     resid = np.asarray(z, dtype=float) - matvec(np.asarray(H, dtype=float),
                                                 np.asarray(x, dtype=float))
-    return 0.5 * rowdot(resid, matvec(np.linalg.inv(np.asarray(Rbar, dtype=float)), resid))
+    white = matvec(_whitener(Rbar), resid)
+    return 0.5 * rowdot(white, white)
 
 
 def psi(zeta_val, mixing: InverseGammaMixing, M: int):
@@ -153,14 +160,10 @@ def u_vector(x_hat, z, H, Rbar, phi_val):
     phi_val = np.asarray(phi_val, dtype=float)
     if not np.all(phi_val > 0.0):
         raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
-    return _u_vector(x_hat, z, H, np.linalg.inv(np.asarray(Rbar, dtype=float)), phi_val)
-
-
-def _u_vector(x_hat, z, H, rb_inv, phi_val):
-    # phi_val > 0 always holds for zeta >= 0 and beta > 0.
     H = np.asarray(H, dtype=float)
+    c_inv = _whitener(Rbar)
     resid = matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
-    return matvec(H.T, matvec(rb_inv, resid)) / phi_val[..., None]
+    return matvec((c_inv @ H).T, matvec(c_inv, resid)) / phi_val[..., None]
 
 
 def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -203,13 +206,15 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     nu = U' C^-1 (z - H x_pred). Its whitened residual is U (psi w), so
     zeta = |psi w|^2 / 2, and its prior quadratic form is sum(lam w^2). One
     eigendecomposition per row thus makes every iteration elementwise, and
-    each row keeps its own stopping point through the active mask.
+    each row keeps its own stopping point through the active mask. The last
+    pass runs every row at its final psi, so its w and zeta give the final
+    state; the Kalman covariance there is P_inf = P - B diag(1/(lam + psi)) B',
+    and u = -(C^-1 H)' U (psi w) / phi.
 
     Returns (mean, cov, status, NvmfDiagnostics of per-row arrays).
     """
     H = model.H
-    rb_inv = np.linalg.inv(model.Rbar)
-    c_inv = np.linalg.inv(np.linalg.cholesky(model.Rbar))
+    c_inv = _whitener(model.Rbar)
     wh = c_inv @ H               # whitened measurement matrix C^-1 H
     N, n = mean.shape
     m = H.shape[0]
@@ -256,16 +261,12 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
             break
         psi_x = np.where(active, psi(zeta_x, mixing, m), psi_x)
 
-    # Each row's final x, zeta and gain, at the psi its last iteration used.
-    scaled = 1.0 / (lam + psi_x[:, None])
-    w = nu * scaled
-    psi_w = psi_x[:, None] * w
+    # The last pass ran every row at its final psi, so w, psi_w and zeta_x are final.
     x_out = mean + matvec(basis, w)
-    zeta_out = 0.5 * rowdot(psi_w, psi_w)
-    gain = (basis * scaled[:, None, :]) @ U.swapaxes(-1, -2) @ c_inv
-    p_inf = symmetrize((np.eye(n) - gain @ H) @ cov)
-    phi_val = phi(zeta_out, mixing, m)
-    u = _u_vector(x_out, z, H, rb_inv, phi_val)
+    p_inf = symmetrize(cov - (basis / (lam + psi_x[:, None])[:, None, :])
+                       @ basis.swapaxes(-1, -2))
+    phi_val = phi(zeta_x, mixing, m)
+    u = -matvec(wh.T, matvec(U, psi_w)) / phi_val[:, None]
     pu, denom = _correction_denominator(p_inf, u)
     fallback = denom <= DENOMINATOR_FLOOR
     # A zero pu over a unit denominator returns p_inf itself for fallback rows.
@@ -274,11 +275,11 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
 
     # The corrected covariance must invert the information-form expression
     # P_inf^-1 - u u'; P_inf^-1 is available cheaply as
-    # P_pred^-1 + H' (psi Rbar)^-1 H.
+    # P_pred^-1 + H' (psi Rbar)^-1 H = P_pred^-1 + wh' wh / psi.
     audited = (status == 0) & (denom >= _AUDIT_DENOM_MIN)
     if audited.any():
         p_info = p_chol_inv.swapaxes(-1, -2) @ p_chol_inv
-        p_inf_info = p_info + (H.T @ rb_inv @ H) / psi_x[:, None, None]
+        p_inf_info = p_info + (wh.T @ wh) / psi_x[:, None, None]
         resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - np.eye(n)
         violated = (resid * resid).sum(axis=(-2, -1)) > _AUDIT_TOL**2 * n
         mark_failed(status, audited & violated, Failure.CORRECTION_IDENTITY)
@@ -310,14 +311,14 @@ def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:
     nu = 2 alpha degrees of freedom and matrix Sigma = (beta/alpha) Rbar.
     """
     v = np.asarray(v, dtype=float)
-    Rbar = np.asarray(Rbar, dtype=float)
     m = v.shape[0]
     nu = 2.0 * mixing.alpha
-    sigma = (mixing.beta / mixing.alpha) * Rbar
-    chol = cholesky_pd(sigma, v)
-    w = np.linalg.solve(chol, v)
-    quad = float(w @ w)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    scale = mixing.beta / mixing.alpha
+    c_inv = _whitener(Rbar, v)
+    w = c_inv @ v
+    quad = float(w @ w) / scale
+    # log det Sigma = m log(scale) + log det Rbar, and det C^-1 = det Rbar^(-1/2).
+    logdet = m * math.log(scale) - 2.0 * float(np.sum(np.log(np.diag(c_inv))))
     return (
         log_gamma((nu + m) / 2.0)
         - log_gamma(nu / 2.0)
@@ -327,19 +328,18 @@ def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:
     )
 
 
-def _expected_inverse_psi(alpha: float, beta: float, chol_rbar: np.ndarray,
-                          rb_inv: np.ndarray, M: int, n_samples: int,
+def _expected_inverse_psi(alpha: float, beta: float, M: int, n_samples: int,
                           rng: RngStream) -> float:
     # E_v[1/psi(v)] with v drawn from the mixture: r ~ InvGamma(alpha, beta),
-    # v ~ N(0, r Rbar).
+    # v = sqrt(r) chol(Rbar) y with y standard normal, so zeta(v) = r |y|^2 / 2
+    # whatever Rbar is.
     r = sample_inverse_gamma(alpha, beta, rng, size=n_samples)
-    y = rng.standard_normal((n_samples, M)) @ chol_rbar.T
-    v = y * np.sqrt(r)[:, None]
-    zeta_s = 0.5 * np.einsum("ij,jk,ik->i", v, rb_inv, v)
+    y = rng.standard_normal((n_samples, M))
+    zeta_s = 0.5 * r * rowdot(y, y)
     return float(np.mean((M / 2.0 + alpha) / (zeta_s + beta)))
 
 
-def calibrate_mixing(r_out: float, rho: float, r_regular: float, Rbar, M: int,
+def calibrate_mixing(r_out: float, rho: float, r_regular: float, M: int,
                      alpha_grid=None, n_samples: int = 100_000,
                      rng: RngStream | None = None):
     """Pick mixing parameters from the design pair (r_out, rho).
@@ -349,8 +349,10 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, Rbar, M: int,
     through the inverse regularized incomplete gamma. The shape alpha is then
     chosen so the expected complete-data information matches that of a
     matched fixed-variance filter: the sampled expectation of 1/psi(v) under
-    the mixture noise must equal 1/r_regular. The grid scan is followed by
-    one bisection pass between the bracketing neighbors of the best point.
+    the M-dimensional mixture noise must equal 1/r_regular. zeta(v) does not
+    depend on the shape matrix Rbar there, so neither does the calibration.
+    The grid scan is followed by one bisection pass between the bracketing
+    neighbors of the best point.
 
     Returns the chosen mixing and the absolute residual of the matching
     equation at that point.
@@ -369,14 +371,11 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, Rbar, M: int,
     if rng is None:
         rng = RngStream(0)
 
-    Rbar = np.asarray(Rbar, dtype=float)
-    chol_rbar = np.linalg.cholesky(Rbar)
-    rb_inv = solve_pd(Rbar, np.eye(M))
     target = 1.0 / r_regular
 
     def evaluate(alpha):
         beta = r_out * inv_reg_lower_inc_gamma(alpha, rho)
-        signed = _expected_inverse_psi(alpha, beta, chol_rbar, rb_inv, M, n_samples, rng) - target
+        signed = _expected_inverse_psi(alpha, beta, M, n_samples, rng) - target
         return signed, beta
 
     signed_residuals = np.empty(alpha_grid.size)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .statespace import matvec
+from .statespace import indefinite, matvec
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -248,17 +248,6 @@ def sample_inverse_gamma(alpha: float, beta: float, rng: RngStream, size=None):
     """Draw from the inverse gamma distribution with shape alpha, scale beta."""
     g = sample_gamma(alpha, beta, rng, size=size)
     return 1.0 / g
-
-
-# A matrix whose smallest eigenvalue is below -_PSD_RTOL max(1, |largest|)
-# is indefinite; above it, a negative eigenvalue is rounding.
-_PSD_RTOL = 1e-10
-
-
-def indefinite(w: np.ndarray) -> bool:
-    """Whether a symmetric matrix with ascending eigenvalues w is indefinite
-    beyond rounding, the test sample_mvn applies to its covariance."""
-    return bool(w[0] < -_PSD_RTOL * max(1.0, abs(w[-1])))
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:

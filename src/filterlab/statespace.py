@@ -101,6 +101,37 @@ def rowwise(fn, a: np.ndarray, *args):
     return fn(a, *args), bad
 
 
+# A matrix whose smallest eigenvalue is below -_PSD_RTOL max(1, |largest|)
+# is indefinite; above it, a negative eigenvalue is rounding.
+_PSD_RTOL = 1e-10
+
+
+def indefinite(w: np.ndarray) -> bool:
+    """Whether a symmetric matrix with ascending eigenvalues w is indefinite
+    beyond rounding."""
+    return bool(w[0] < -_PSD_RTOL * max(1.0, abs(w[-1])))
+
+
+def checked_covariance(name: str, a, definite: bool = False) -> np.ndarray:
+    """a as a float array, or ValueError unless it is a square, non-empty,
+    finite matrix, symmetric within 1e-10 max(|a|, 1), and positive
+    semidefinite within rounding (see indefinite), or positive definite
+    when definite is set."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    if np.abs(a - a.T).max() > 1e-10 * max(np.abs(a).max(), 1.0):
+        raise ValueError(f"{name} must be symmetric")
+    w = np.linalg.eigvalsh(symmetrize(a))
+    if definite and not w[0] > 0.0:
+        raise ValueError(f"{name} must be positive definite")
+    if indefinite(w):
+        raise ValueError(f"{name} must be positive semidefinite")
+    return a
+
+
 @dataclass
 class GaussianBelief:
     """State estimate: mean vector and positive-definite error covariance."""
@@ -141,14 +172,8 @@ class LinearModel:
                                  f"got shape {getattr(self, name).shape}")
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if np.abs(self.Q - self.Q.T).max() > 1e-10 * max(np.abs(self.Q).max(), 1.0):
-            raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh(symmetrize(self.Q))[0] < -1e-10:
-            raise ValueError("Q must be positive semidefinite")
-        w = np.linalg.eigvalsh(symmetrize(self.Rbar))
-        if w[0] <= 0.0:
-            raise ValueError("Rbar must be positive definite")
-        m = self.Rbar.shape[0]
+        checked_covariance("Q", self.Q)
+        checked_covariance("Rbar", self.Rbar, definite=True)
         det = np.linalg.det(self.Rbar)
         self.Rbar = self.Rbar / det ** (1.0 / m)
 

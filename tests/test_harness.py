@@ -406,6 +406,33 @@ class TestCli:
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
 
+    def test_each_run_flag_reaches_its_field(self, tmp_path, monkeypatch):
+        captured = []
+
+        def capture(config):
+            captured.append(config)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr("filterlab.cli.run_monte_carlo", capture)
+        expected = {
+            "noise": "t", "trials": 7, "updates": 40, "seed": 5,
+            "filters": ("kf", "pdaf"), "epsilon": 1e-4, "max_iterations": 9,
+            "fixed_iteration_mode": True, "k_star": 11, "alpha": 1.5, "beta": 50.0,
+            "clutter_per_gate": 0.2, "init_from_regime": True, "workers": 2,
+        }
+        code = cli_main([
+            "run", "--noise", "t", "--trials", "7", "--updates", "40", "--seed", "5",
+            "--filters", "kf, pdaf", "--epsilon", "1e-4", "--max-iters", "9",
+            "--fixed-iters", "--k-star", "11", "--alpha", "1.5", "--beta", "50",
+            "--clutter-per-gate", "0.2", "--init-from-regime", "--workers", "2",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1 and len(captured) == 1
+        config, default = captured[0], ScenarioConfig()
+        changed = {f: getattr(config, f) for f in vars(default)
+                   if getattr(config, f) != getattr(default, f)}
+        assert changed == expected
+
     def test_calibrate_subcommand(self, capsys):
         code = cli_main([
             "calibrate", "--r-out", "400", "--rho", "0.05", "--r-regular", "100",

@@ -147,8 +147,21 @@ def test_public_update_rejects_nonfinite_measurement(name, bad):
 def test_public_update_raises_numerical_error_for_indefinite_prior(name):
     single = FILTERS[name][2]
     prior = GaussianBelief(np.zeros(4), -1000.0 * np.eye(4))
-    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+    # No np.errstate: the update must raise NumericalError, not a RuntimeWarning.
+    with pytest.raises(NumericalError):
         single(prior, np.array([3.0, 1.0]))
+
+
+@pytest.mark.parametrize("update", [
+    lambda b, z, R: kf_update(b, z, H, R),
+    lambda b, z, R: kfor_update(b, z, H, R, KFOR),
+    lambda b, z, R: pdaf_update(b, z, H, R, PDAF),
+], ids=["kf", "kfor", "pdaf"])
+def test_kalman_family_rejects_ill_conditioned_innovation_cov(update):
+    # S = diag(1e14, 1) + 1e-3 I has a condition number of about 1e17.
+    prior = GaussianBelief(np.zeros(4), np.diag([1e14, 1.0, 1.0, 1.0]))
+    with pytest.raises(NumericalError, match="ill conditioned"):
+        update(prior, np.array([3.0, 1.0]), 1e-3 * np.eye(2))
 
 
 def test_nvmf_overflowing_residual_raises_numerical_error():

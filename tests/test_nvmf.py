@@ -371,7 +371,7 @@ class TestCalibrateMixing:
         rng = RngStream(99)
         grid = np.arange(0.9, 1.1001, 0.01)
         mixing, residual = calibrate_mixing(
-            100.0**2, 0.01, 100.0, np.eye(2), 2,
+            100.0**2, 0.01, 100.0, 2,
             alpha_grid=grid, n_samples=20_000, rng=rng)
         assert abs(mixing.alpha - 0.9987) < 0.02
         assert abs(mixing.beta - 99.84) < 2.0
@@ -381,7 +381,7 @@ class TestCalibrateMixing:
         from filterlab.specfun import reg_lower_inc_gamma
         rng = RngStream(100)
         mixing, _ = calibrate_mixing(
-            100.0**2, 0.01, 100.0, np.eye(2), 2,
+            100.0**2, 0.01, 100.0, 2,
             alpha_grid=np.arange(0.9, 1.1001, 0.01), n_samples=20_000, rng=rng)
         # tail probability of r_out under the fitted mixing must equal rho
         rho_back = reg_lower_inc_gamma(mixing.alpha, mixing.beta / 100.0**2)
@@ -391,14 +391,14 @@ class TestCalibrateMixing:
         # moving r_out toward the regular variance forces a larger shape
         rng = RngStream(101)
         grid = np.arange(0.5, 10.001, 0.25)
-        near, _ = calibrate_mixing(1.01 * 100.0, 0.01, 100.0, np.eye(2), 2,
+        near, _ = calibrate_mixing(1.01 * 100.0, 0.01, 100.0, 2,
                                    alpha_grid=grid, n_samples=10_000, rng=rng)
-        far, _ = calibrate_mixing(100.0 * 100.0, 0.01, 100.0, np.eye(2), 2,
+        far, _ = calibrate_mixing(100.0 * 100.0, 0.01, 100.0, 2,
                                   alpha_grid=grid, n_samples=10_000, rng=rng)
         assert near.alpha > far.alpha
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            calibrate_mixing(100.0, 1.5, 100.0, np.eye(2), 2)
+            calibrate_mixing(100.0, 1.5, 100.0, 2)
         with pytest.raises(ValueError):
-            calibrate_mixing(100.0, 0.01, 100.0, np.eye(2), 2, n_samples=100)
+            calibrate_mixing(100.0, 0.01, 100.0, 2, n_samples=100)

@@ -80,10 +80,24 @@ class TestLinearModel:
             with pytest.raises(ValueError):
                 LinearModel(F, Q, H, np.eye(2))
 
+    def test_accepts_rank_deficient_q(self):
+        # Q = q G G' (piecewise-constant acceleration) has rank 2; at q = 1e8
+        # its zero eigenvalues round to about -1e-7, which sample_mvn accepts.
+        T, q = 3.0, 1e8
+        G = np.kron(np.array([[T**2 / 2.0], [T]]), np.eye(2))
+        Q = q * G @ G.T
+        assert np.linalg.eigvalsh(Q)[0] < -1e-10
+        model = LinearModel(cv_transition(T), Q, np.eye(2, 4), np.eye(2))
+        assert np.array_equal(model.Q, Q)
+        assert np.isfinite(sample_mvn(np.zeros(4), Q, RngStream(0))).all()
+
     def test_rejects_singular_rbar(self):
         with pytest.raises(ValueError):
             LinearModel(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-        for Rbar in ([[1.0, np.nan], [np.nan, 1.0]], np.diag([np.inf, 1.0])):
+        # NaN, infinite, and asymmetric (its lower triangle alone is
+        # positive definite)
+        for Rbar in ([[1.0, np.nan], [np.nan, 1.0]], np.diag([np.inf, 1.0]),
+                     [[1.0, 0.5], [0.0, 1.0]]):
             with pytest.raises(ValueError):
                 LinearModel(np.eye(2), np.eye(2), np.eye(2), Rbar)
         # H is 2x4, so Rbar must be 2x2
