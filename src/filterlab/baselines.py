@@ -5,17 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .kalman import kf_batch
+from .kalman import innovation_terms, kalman_step
 from .specfun import reg_lower_inc_gamma
 from .statespace import (
-    Failure,
     GaussianBelief,
-    finite_rows,
-    mark_failed,
-    matvec,
+    identity,
+    mark_non_finite,
     rowdot,
     symmetrize,
     update_one,
@@ -58,8 +57,14 @@ class PdafConfig:
     def gate_probability(self, meas_dim: int) -> float:
         if self.p_gate is not None:
             return self.p_gate
-        # Chi-square CDF of the squared gate with meas_dim degrees of freedom.
-        return reg_lower_inc_gamma(meas_dim / 2.0, self.gate**2 / 2.0)
+        return _chi_square_cdf(meas_dim, self.gate**2)
+
+
+@lru_cache(maxsize=64)
+def _chi_square_cdf(dof: int, x: float) -> float:
+    """Chi-square CDF at x with dof degrees of freedom. Cached, since every
+    PDAF update of a run asks for the same in-gate probability."""
+    return reg_lower_inc_gamma(dof / 2.0, x / 2.0)
 
 
 def kfor_batch(mean, cov, z, H, R, config: KforConfig):
@@ -70,14 +75,13 @@ def kfor_batch(mean, cov, z, H, R, config: KforConfig):
     width w (w^2 / 3); unflagged updates are plain Kalman updates.
     Returns (mean, cov, status, flags (N, m)).
     """
-    H = np.asarray(H, dtype=float)
+    H, residual, hp, hph = innovation_terms(mean, cov, z, H)
     R = np.asarray(R, dtype=float)
-    residual = z - matvec(H, mean)
-    S_diag = np.diagonal(H @ cov @ H.T + R, axis1=-2, axis2=-1)
-    # A non-positive variance gives NaN (no flag, no warning); kf_batch fails the row.
+    S_diag = np.diagonal(hph + R, axis1=-2, axis2=-1)
+    # A non-positive variance gives NaN (no flag, no warning); kalman_step fails the row.
     flags = np.abs(residual) / np.sqrt(np.where(S_diag > 0.0, S_diag, np.nan)) > config.tau
-    R_used = R + (config.w**2 / 3.0) * (flags[..., None] * np.eye(R.shape[-1]))
-    mean, cov, status, _ = kf_batch(mean, cov, z, H, R_used)
+    R_used = R + (config.w**2 / 3.0) * (flags[..., None] * identity(R.shape[-1]))
+    mean, cov, status, _, _ = kalman_step(mean, cov, R_used, H, residual, hp, hph)
     return mean, cov, status, flags
 
 
@@ -107,7 +111,8 @@ def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
     on the same innovation covariances as there.
     Returns (mean, cov, status, gated (N,)).
     """
-    kf_mean, kf_cov, status, d = kf_batch(mean, cov, z, H, R)
+    kf_mean, kf_cov, status, d, gv = kalman_step(mean, cov, R,
+                                                 *innovation_terms(mean, cov, z, H))
     m = d.innovation.shape[-1]
     d2 = rowdot(d.innovation, d.solved_innovation)
     gated = d2 > config.gate**2
@@ -119,14 +124,14 @@ def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
     beta_1 = np.divide(weight_hit, total, out=np.ones_like(total), where=total != 0.0)
     beta_0 = 1.0 - beta_1
 
-    gv = matvec(d.gain, d.innovation)
     post_mean = mean + beta_1[:, None] * gv
-    spread = (beta_1 * (1.0 - beta_1))[:, None, None] * (gv[:, :, None] * gv[:, None, :])
+    spread = (beta_1 * beta_0)[:, None, None] * (gv[:, :, None] * gv[:, None, :])
     post_cov = symmetrize(beta_0[:, None, None] * cov + beta_1[:, None, None] * kf_cov + spread)
-    mean = np.where(gated[:, None], mean, post_mean)
-    cov = np.where(gated[:, None, None], cov, post_cov)
-    mark_failed(status, ~(finite_rows(mean) & finite_rows(cov)), Failure.NON_FINITE)
-    return mean, cov, status, gated
+    if np.count_nonzero(gated):
+        post_mean = np.where(gated[:, None], mean, post_mean)
+        post_cov = np.where(gated[:, None, None], cov, post_cov)
+    mark_non_finite(status, post_mean, post_cov)
+    return post_mean, post_cov, status, gated
 
 
 def pdaf_update(prior: GaussianBelief, z, H, R, config: PdafConfig) -> GaussianBelief:

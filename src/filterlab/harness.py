@@ -393,16 +393,18 @@ def emit_csv(trials: Trials, summary: RunSummary, out_dir) -> list:
             row += [repr(float(summary.interval[0])), repr(float(summary.interval[1]))]
             writer.writerow(row)
 
+    # trials.csv is most of the output, so each filter-trial's rows are
+    # joined into one write. No field needs quoting (integers, filter names,
+    # float reprs), so these are the bytes csv.writer's default dialect writes.
     with open(paths[1], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "k", "filter", "se", "nees", "diverged"])
+        fh.write("trial,k,filter,se,nees,diverged\r\n")
         for j, trial_id in enumerate(trials.trial_ids.tolist()):
             for f in summary.filters:
                 diverged = int(trials.diverged[f][j])
                 se = trials.squared_error[f][j].tolist()
                 ne = trials.nees[f][j].tolist()
-                writer.writerows([trial_id, k, f, repr(a), repr(b), diverged]
-                                 for k, (a, b) in enumerate(zip(se, ne), 1))
+                fh.write("".join(f"{trial_id},{k},{f},{a!r},{b!r},{diverged}\r\n"
+                                 for k, (a, b) in enumerate(zip(se, ne), 1)))
 
     with open(paths[2], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -12,8 +12,9 @@ from .statespace import (
     Failure,
     GaussianBelief,
     LinearModel,
-    finite_rows,
+    identity,
     mark_failed,
+    mark_non_finite,
     matvec,
     rowwise,
     solve_pd,
@@ -58,24 +59,37 @@ def kf_batch(mean, cov, z, H, R):
     is not positive definite). Returns (mean, cov, status,
     UpdateDiagnostics of stacks).
     """
+    return kalman_step(mean, cov, R, *innovation_terms(mean, cov, z, H))[:4]
+
+
+def innovation_terms(mean, cov, z, H):
+    """H as an array, then v = z - H x, H P and H P H' of a stack of
+    beliefs: the part of kalman_step's input that does not depend on R."""
     H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    status = np.zeros(mean.shape[0], dtype=np.int8)
     hp = H @ cov
-    S = symmetrize(hp @ H.T + R)
+    return H, z - matvec(H, mean), hp, hp @ H.T
+
+
+def kalman_step(mean, cov, R, H, innovation, hp, hph):
+    """kf_batch from innovation_terms, which kfor_batch needs before it
+    picks R. Returns kf_batch's (mean, cov, status, diagnostics) and G v,
+    the correction the posterior mean adds, for pdaf_batch to reweight."""
+    status = np.zeros(mean.shape[0], dtype=np.int8)
+    S = symmetrize(hph + np.asarray(R, dtype=float))
     w, bad = rowwise(np.linalg.eigvalsh, S)
     mark_failed(status, bad, Failure.NON_FINITE)
     mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                 Failure.ILL_CONDITIONED)
     log_det = np.log(np.where(w > 0.0, w, np.nan)).sum(-1)
-    innovation = z - matvec(H, mean)
     solved, bad = rowwise(np.linalg.solve, S, np.concatenate([hp, innovation[..., None]], -1))
     mark_failed(status, bad, Failure.ILL_CONDITIONED)
     gain = solved[..., :-1].swapaxes(-1, -2)
-    mean = mean + matvec(gain, innovation)
-    cov = symmetrize((np.eye(cov.shape[-1]) - gain @ H) @ cov)
-    mark_failed(status, ~(finite_rows(mean) & finite_rows(cov)), Failure.NON_FINITE)
-    return mean, cov, status, UpdateDiagnostics(innovation, S, gain, solved[..., -1], log_det)
+    correction = matvec(gain, innovation)
+    mean = mean + correction
+    cov = symmetrize((identity(cov.shape[-1]) - gain @ H) @ cov)
+    mark_non_finite(status, mean, cov)
+    diagnostics = UpdateDiagnostics(innovation, S, gain, solved[..., -1], log_det)
+    return mean, cov, status, diagnostics, correction
 
 
 def kf_update(prior: GaussianBelief, z, H, R):

@@ -36,13 +36,15 @@ from .statespace import (
     GaussianBelief,
     LinearModel,
     cholesky_pd,
-    finite_rows,
+    identity,
     mark_failed,
+    mark_non_finite,
     matvec,
     rowdot,
     rowwise,
     symmetrize,
     update_one,
+    whitener,
 )
 
 # Below this, the rank-one correction is considered degenerate and the update
@@ -109,20 +111,16 @@ class NvmfDiagnostics:
 # The closed forms below take one state, or a stack with a leading batch
 # axis (x (N, n), z (N, m), zeta_val (N,), P_inf (N, n, n), u (N, n)).
 # Each applies Rbar^-1 through the whitener C^-1, C = chol(Rbar), so that
-# r' Rbar^-1 s = (C^-1 r)' (C^-1 s). nvmf_batch whitens the same way and
-# then evaluates zeta and the log posterior in the whitened eigenbasis;
-# zeta and log_posterior keep the direct forms.
-
-def _whitener(Rbar, *others) -> np.ndarray:
-    """C^-1 for the lower Cholesky factor C of Rbar (errors as cholesky_pd)."""
-    return np.linalg.inv(cholesky_pd(Rbar, *others))
-
+# r' Rbar^-1 s = (C^-1 r)' (C^-1 s). nvmf_batch whitens the same way, with
+# the model's own factors (LinearModel.whitened), and then evaluates zeta
+# and the log posterior in the whitened eigenbasis; zeta and log_posterior
+# keep the direct forms.
 
 def zeta(x, z, H, Rbar):
     """Half squared Mahalanobis distance of the residual under the shape matrix."""
     resid = np.asarray(z, dtype=float) - matvec(np.asarray(H, dtype=float),
                                                 np.asarray(x, dtype=float))
-    white = matvec(_whitener(Rbar), resid)
+    white = matvec(whitener(Rbar), resid)
     return 0.5 * rowdot(white, white)
 
 
@@ -161,7 +159,7 @@ def u_vector(x_hat, z, H, Rbar, phi_val):
     if not np.all(phi_val > 0.0):
         raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
     H = np.asarray(H, dtype=float)
-    c_inv = _whitener(Rbar)
+    c_inv = whitener(Rbar)
     resid = matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
     return matvec((c_inv @ H).T, matvec(c_inv, resid)) / phi_val[..., None]
 
@@ -214,8 +212,7 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     Returns (mean, cov, status, NvmfDiagnostics of per-row arrays).
     """
     H = model.H
-    c_inv = _whitener(model.Rbar)
-    wh = c_inv @ H               # whitened measurement matrix C^-1 H
+    c_inv, wh, wh_info = model.whitened
     N, n = mean.shape
     m = H.shape[0]
     status = np.zeros(N, dtype=np.int8)
@@ -223,67 +220,79 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     p_chol, bad = rowwise(np.linalg.cholesky, cov)
     mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
     p_chol_inv, bad = rowwise(np.linalg.inv, p_chol)
-    mark_failed(status, bad | ~finite_rows(z), Failure.NON_FINITE)
+    mark_failed(status, bad, Failure.NON_FINITE)
+    mark_non_finite(status, z)
     whp = wh @ cov
     (lam, U), bad = rowwise(np.linalg.eigh, whp @ wh.T)
     mark_failed(status, bad, Failure.NON_FINITE)
     basis = whp.swapaxes(-1, -2) @ U
     nu = matvec(U.swapaxes(-1, -2), matvec(c_inv, z - matvec(H, mean)))
+    # Every lam_i + psi is positive exactly when the smallest is, and a sum
+    # of two doubles is positive exactly when psi > -lam_min; min propagates
+    # a NaN eigenvalue, which no shift makes positive.
+    psi_floor = -lam.min(axis=1)
 
     shape = m / 2.0 + mixing.alpha
     zeta_x = 0.5 * rowdot(nu, nu)
-    trace = np.full((N, config.max_iterations + 1), np.nan)
+    trace = np.empty((N, config.max_iterations + 1))
     log_post = -shape * np.log1p(zeta_x / mixing.beta)
     trace[:, 0] = log_post
     iterations = np.zeros(N, dtype=np.int64)
     psi_x = psi(zeta_x, mixing, m)
     active = status == 0
     for it in range(1, config.max_iterations + 1):
-        w = nu / (lam + psi_x[:, None])
-        psi_w = psi_x[:, None] * w
+        psi_col = psi_x[:, None]
+        shifted = lam + psi_col
+        w = nu / shifted
+        psi_w = psi_col * w
         zeta_x = 0.5 * rowdot(psi_w, psi_w)
         prev = log_post
         log_post = -0.5 * rowdot(lam * w, w) - shape * np.log1p(zeta_x / mixing.beta)
         delta = log_post - prev
-        trace[active, it] = log_post[active]
+        trace[:, it] = log_post
+        iterations = iterations + active
 
-        not_pd = ~(lam + psi_x[:, None] > 0.0).all(axis=1)
-        failed = active & (not_pd | ~(delta >= -_MONOTONICITY_TOL))
-        mark_failed(status, failed & not_pd, Failure.NOT_POSITIVE_DEFINITE)
-        mark_failed(status, failed & ~np.isfinite(log_post), Failure.NON_FINITE)
-        mark_failed(status, failed, Failure.EM_NOT_MONOTONE)
-        done = failed | (it == config.max_iterations)
+        failed = active & ~((psi_x > psi_floor) & (delta >= -_MONOTONICITY_TOL))
+        if np.count_nonzero(failed):
+            mark_failed(status, failed & ~(psi_x > psi_floor), Failure.NOT_POSITIVE_DEFINITE)
+            mark_failed(status, failed & ~np.isfinite(log_post), Failure.NON_FINITE)
+            mark_failed(status, failed, Failure.EM_NOT_MONOTONE)
+            active = active & ~failed
         if not config.fixed_iteration_mode:
-            done |= delta < config.epsilon
-        iterations[active & done] = it
-        active &= ~done
-        if not active.any():
+            active = active & (delta >= config.epsilon)
+        n_active = np.count_nonzero(active)
+        if not n_active or it == config.max_iterations:
             break
-        psi_x = np.where(active, psi(zeta_x, mixing, m), psi_x)
+        psi_next = psi(zeta_x, mixing, m)
+        psi_x = psi_next if n_active == N else np.where(active, psi_next, psi_x)
 
-    # The last pass ran every row at its final psi, so w, psi_w and zeta_x are final.
+    # Each row's trace ends at its last iteration; its last pass ran at its
+    # final psi, so w, psi_w, zeta_x and shifted = lam + psi are final.
+    trace[np.arange(config.max_iterations + 1) > iterations[:, None]] = np.nan
     x_out = mean + matvec(basis, w)
-    p_inf = symmetrize(cov - (basis / (lam + psi_x[:, None])[:, None, :])
-                       @ basis.swapaxes(-1, -2))
+    p_inf = symmetrize(cov - (basis / shifted[:, None, :]) @ basis.swapaxes(-1, -2))
     phi_val = phi(zeta_x, mixing, m)
     u = -matvec(wh.T, matvec(U, psi_w)) / phi_val[:, None]
     pu, denom = _correction_denominator(p_inf, u)
     fallback = denom <= DENOMINATOR_FLOOR
     # A zero pu over a unit denominator returns p_inf itself for fallback rows.
     skip = fallback | (status != 0)
-    cov_out = _corrected(p_inf, np.where(skip[:, None], 0.0, pu), np.where(skip, 1.0, denom))
+    denom_used = denom
+    if np.count_nonzero(skip):
+        pu, denom_used = np.where(skip[:, None], 0.0, pu), np.where(skip, 1.0, denom)
+    cov_out = _corrected(p_inf, pu, denom_used)
 
     # The corrected covariance must invert the information-form expression
     # P_inf^-1 - u u'; P_inf^-1 is available cheaply as
     # P_pred^-1 + H' (psi Rbar)^-1 H = P_pred^-1 + wh' wh / psi.
     audited = (status == 0) & (denom >= _AUDIT_DENOM_MIN)
-    if audited.any():
+    if np.count_nonzero(audited):
         p_info = p_chol_inv.swapaxes(-1, -2) @ p_chol_inv
-        p_inf_info = p_info + (wh.T @ wh) / psi_x[:, None, None]
-        resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - np.eye(n)
+        p_inf_info = p_info + wh_info / psi_x[:, None, None]
+        resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - identity(n)
         violated = (resid * resid).sum(axis=(-2, -1)) > _AUDIT_TOL**2 * n
         mark_failed(status, audited & violated, Failure.CORRECTION_IDENTITY)
-    mark_failed(status, ~(finite_rows(x_out) & finite_rows(cov_out)), Failure.NON_FINITE)
+    mark_non_finite(status, x_out, cov_out)
 
     diagnostics = NvmfDiagnostics(
         iterations_used=iterations,
@@ -314,7 +323,7 @@ def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:
     m = v.shape[0]
     nu = 2.0 * mixing.alpha
     scale = mixing.beta / mixing.alpha
-    c_inv = _whitener(Rbar, v)
+    c_inv = whitener(Rbar, v)
     w = c_inv @ v
     quad = float(w @ w) / scale
     # log det Sigma = m log(scale) + log det Rbar, and det C^-1 = det Rbar^(-1/2).

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,13 +46,27 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mark_failed(status: np.ndarray, bad: np.ndarray, cause: Failure) -> None:
     """Record cause for the rows in bad that have not failed yet."""
-    if bad.any():
+    if np.count_nonzero(bad):
         status[(status == 0) & bad] = cause
 
 
-def finite_rows(a: np.ndarray) -> np.ndarray:
-    """Rows of a stack whose entries are all finite."""
-    return np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+def mark_non_finite(status: np.ndarray, *stacks: np.ndarray) -> None:
+    """Record NON_FINITE for the rows, not failed yet, that hold a non-finite
+    entry in any of stacks. The per-row masks are built only when some
+    entry is non-finite, which a kernel's good rows never have."""
+    if all(np.count_nonzero(np.isfinite(a)) == a.size for a in stacks):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1) for a in stacks])
+    mark_failed(status, ~finite, Failure.NON_FINITE)
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def cholesky_pd(a, *others) -> np.ndarray:
@@ -65,6 +80,12 @@ def cholesky_pd(a, *others) -> np.ndarray:
     if not all(np.isfinite(b).all() for b in (a, *others)):
         raise ValueError("array must not contain infs or NaNs")
     return np.linalg.cholesky(a)
+
+
+def whitener(Rbar, *others) -> np.ndarray:
+    """C^-1 for the lower Cholesky factor C of Rbar (errors as cholesky_pd),
+    so that r' Rbar^-1 s = (C^-1 r)' (C^-1 s)."""
+    return np.linalg.inv(cholesky_pd(Rbar, *others))
 
 
 def solve_pd(a, b) -> np.ndarray:
@@ -140,6 +161,8 @@ class GaussianBelief:
     cov: np.ndarray
 
     def validate(self, rtol: float = 1e-10) -> None:
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
+            raise ValueError("belief is not finite")
         scale = max(np.abs(self.cov).max(), 1e-300)
         if np.abs(self.cov - self.cov.T).max() > rtol * scale:
             raise ValueError("covariance is not symmetric")
@@ -176,6 +199,16 @@ class LinearModel:
         checked_covariance("Rbar", self.Rbar, definite=True)
         det = np.linalg.det(self.Rbar)
         self.Rbar = self.Rbar / det ** (1.0 / m)
+
+    @cached_property
+    def whitened(self):
+        """The fixed factors of Rbar that every NVMF update applies: C^-1
+        for C = chol(Rbar), the whitened measurement matrix C^-1 H, and its
+        information (C^-1 H)' C^-1 H. Computed on first use and kept, so a
+        model must not be changed after construction."""
+        c_inv = whitener(self.Rbar)
+        wh = c_inv @ self.H
+        return c_inv, wh, wh.T @ wh
 
     @property
     def state_dim(self) -> int:
@@ -216,12 +249,11 @@ def update_one(kernel, prior: GaussianBelief, z, *args):
     Returns the posterior and the kernel's diagnostics (a batch of one).
     Raises NumericalError for a non-finite measurement and for a failed row.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)[None]
     if not np.isfinite(z).all():
         raise NumericalError("measurement is not finite")
-    mean = np.asarray(prior.mean, dtype=float)
-    cov = np.asarray(prior.cov, dtype=float)
-    mean, cov, status, diagnostics = kernel(mean[None], cov[None], z[None], *args)
+    mean, cov, status, diagnostics = kernel(np.asarray(prior.mean, dtype=float)[None],
+                                            np.asarray(prior.cov, dtype=float)[None], z, *args)
     if status[0]:
         cause = Failure(status[0]).name.lower().replace("_", " ")
         raise NumericalError(f"{kernel.__name__} failed: {cause}")

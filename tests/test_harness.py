@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -349,6 +351,26 @@ class TestEmitCsv:
         col = header.index("kf_nrmse")
         cell = float(summary_rows[k_query].split(",")[col])
         assert abs(cell - expected) < 1e-9 * max(expected, 1.0)
+
+    def test_trials_rows_are_csv_writer_rows(self, tmp_path):
+        # A failed filter leaves inf from its failing update on; NaN and a
+        # subnormal check the float reprs too.
+        summary, trials = run_monte_carlo(small_config())
+        trials.squared_error["pdaf"][1, 9:] = np.inf
+        trials.nees["pdaf"][1, 9:] = np.inf
+        trials.nees["kfor"][2, 3] = np.nan
+        trials.squared_error["kf"][0, 0] = 5e-324
+        emit_csv(trials, summary, tmp_path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["trial", "k", "filter", "se", "nees", "diverged"])
+        for j, trial_id in enumerate(trials.trial_ids.tolist()):
+            for f in summary.filters:
+                for k, (se, ne) in enumerate(zip(trials.squared_error[f][j].tolist(),
+                                                 trials.nees[f][j].tolist()), 1):
+                    writer.writerow([trial_id, k, f, repr(se), repr(ne),
+                                     int(trials.diverged[f][j])])
+        assert (tmp_path / "trials.csv").read_bytes() == ref.getvalue().encode("utf-8")
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         outs = []

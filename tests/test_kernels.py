@@ -56,6 +56,10 @@ def test_stack_equals_single_calls_bitwise(name):
         if name == "nvmf":
             _, one = nvmf_update(GaussianBelief(mean[i], cov[i]), z[i], MODEL, MIXING, NVMF)
             assert one.iterations_used == diag.iterations_used[i]
+            # the stacked trace is the row's own, NaN past its last iteration
+            trace = diag.log_posterior_trace[i]
+            assert np.array_equal(trace[:one.iterations_used + 1], one.log_posterior_trace)
+            assert np.isnan(trace[one.iterations_used + 1:]).all()
     if name == "nvmf":
         assert len(set(diag.iterations_used)) > 1
     if name == "pdaf":
@@ -132,6 +136,58 @@ def test_bad_row_fails_alone(name):
         assert not status[good].any(), edit
         assert np.array_equal(post_mean[good], clean[0][good]), edit
         assert np.array_equal(post_cov[good], clean[1][good]), edit
+
+
+def _failure_cases():
+    """Rows that fail one check, or several at once, next to a good row."""
+    x = np.array([1.0, 2.0, 0.5, 0.1])
+    P = 50.0 * np.eye(4) + 10.0
+    z = np.array([3.0, 1.0])
+    inf_P = P + np.diag([np.inf, 0.0, 0.0, 0.0])
+    return {
+        "good": (x, P, z),
+        "nan_z": (x, P, np.array([3.0, np.nan])),
+        "indefinite": (x, -1000.0 * P, z),
+        "nan_z+indefinite": (x, -1000.0 * P, np.array([np.nan, 1.0])),
+        "inf_cov": (x, inf_P, z),
+        "nan_z+inf_cov": (x, inf_P, np.array([np.nan, 1.0])),
+        "ill_conditioned": (x, np.diag([1e16, 1.0, 1.0, 1.0]), z),
+        # z - H x overflows, so the update's output is not finite
+        "overflowing_innovation": (np.array([-1.7e308, 0.0, 0.0, 0.0]), P,
+                                   np.array([1.7e308, 1.0])),
+        "huge_z": (x, P, np.array([1e200, 1e200])),
+    }
+
+
+# Each kernel's status per case: the first check a row fails decides it.
+# KF, KFOR and PDAF test S before the output, so an indefinite P outranks a
+# NaN z. NVMF tests P's Cholesky factor, then z, then each EM step. A P with
+# an infinite entry passes the factorisation but has NaN eigenvalues, which
+# fail the EM's definiteness test unless a NaN z failed the row first.
+EXPECTED_STATUS = {
+    "kf": {"nan_z": 5, "indefinite": 2, "nan_z+indefinite": 2, "inf_cov": 2,
+           "nan_z+inf_cov": 2, "ill_conditioned": 2, "overflowing_innovation": 5, "huge_z": 0},
+    "nvmf": {"nan_z": 5, "indefinite": 1, "nan_z+indefinite": 1, "inf_cov": 1,
+             "nan_z+inf_cov": 5, "ill_conditioned": 4, "overflowing_innovation": 1,
+             "huge_z": 5},
+}
+EXPECTED_STATUS["pdaf"] = EXPECTED_STATUS["kfor"] = EXPECTED_STATUS["kf"]
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_failure_codes_and_their_precedence(name):
+    kernel, args, _ = FILTERS[name]
+    cases = _failure_cases()
+    mean, cov, z = (np.array([case[i] for case in cases.values()]) for i in range(3))
+    with np.errstate(all="ignore"):
+        stacked = kernel(mean, cov, z, *args)
+        singles = [kernel(mean[i:i + 1], cov[i:i + 1], z[i:i + 1], *args)
+                   for i in range(len(cases))]
+    expected = {"good": 0, **EXPECTED_STATUS[name]}
+    assert dict(zip(cases, stacked[2].tolist())) == expected
+    assert [int(one[2][0]) for one in singles] == stacked[2].tolist()
+    for part in (0, 1):
+        assert np.array_equal(stacked[part][0], singles[0][part][0])
 
 
 @pytest.mark.parametrize("name", sorted(FILTERS))

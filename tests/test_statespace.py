@@ -8,7 +8,7 @@ import pytest
 
 import filterlab
 from filterlab.kalman import kf_information_update, pcrlb_recursion
-from filterlab.nvmf import InverseGammaMixing, log_posterior, nvm_t_log_density
+from filterlab.nvmf import InverseGammaMixing, log_posterior, nvm_t_log_density, zeta
 from filterlab.specfun import RngStream, sample_mvn
 from filterlab.statespace import (
     GaussianBelief,
@@ -18,6 +18,7 @@ from filterlab.statespace import (
     predict,
     solve_pd,
     two_point_init,
+    whitener,
 )
 
 
@@ -103,6 +104,44 @@ class TestLinearModel:
         # H is 2x4, so Rbar must be 2x2
         with pytest.raises(ValueError):
             LinearModel(np.eye(4), np.eye(4), np.eye(2, 4), np.eye(3))
+
+    def test_whitened_factors_are_the_models_own(self):
+        F, Q = cv_transition(3.0), cv_process_noise(3.0, 1.0)
+        H = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5]])
+        first = LinearModel(F, Q, H, np.eye(2))
+        second = LinearModel(F, Q, H, [[2.0, 0.6], [0.6, 1.0]])
+        for model in (first, second):
+            c_inv, wh, wh_info = model.whitened
+            assert np.array_equal(c_inv, whitener(model.Rbar))
+            assert np.array_equal(wh, c_inv @ H)
+            assert np.array_equal(wh_info, wh.T @ wh)
+            assert model.whitened is model.whitened   # computed once
+        assert not np.array_equal(first.whitened[0], second.whitened[0])
+        # the whitener applies Rbar^-1: |C^-1 r|^2 / 2 is zeta
+        r = np.array([3.0, -1.0])
+        white = second.whitened[0] @ r
+        assert np.isclose(0.5 * white @ white, zeta(np.zeros(4), r, H, second.Rbar), rtol=1e-14)
+        assert np.isclose(white @ white, r @ np.linalg.solve(second.Rbar, r), rtol=1e-13)
+
+
+class TestGaussianBelief:
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]])),
+        (np.zeros(2), np.diag([np.inf, 1.0])),
+        (np.array([0.0, np.nan]), np.eye(2)),
+    ], ids=["nan_cov", "inf_cov", "nan_mean"])
+    def test_validate_rejects_non_finite(self, mean, cov):
+        # Under the suite's error::RuntimeWarning, a warning would fail this too.
+        with pytest.raises(ValueError, match="not finite"):
+            GaussianBelief(mean, cov).validate()
+
+    def test_validate_keeps_its_relative_symmetry_scale(self):
+        # Asymmetric by 1e-13 on entries of 1e-6: far below 1e-10 absolute,
+        # but 1e-7 relative to the covariance's own scale.
+        cov = 1e-6 * np.eye(2)
+        cov[0, 1] = 1e-13
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianBelief(np.zeros(2), cov).validate()
 
 
 class TestPredict:
