@@ -1,16 +1,15 @@
 """Robust state estimation with a variance-mixture measurement model.
 
 The package provides the mixture filter itself (nvmf), the standard Kalman
-update and information recursion (kalman), robust baselines (baselines),
-noise generators (noise), run statistics (metrics), self-contained special
-functions and seeded sampling (specfun), and a Monte Carlo benchmark harness
-with a CLI (harness, cli).
+update (kalman), robust baselines (baselines), noise generators (noise), run
+statistics (metrics), self-contained special functions and seeded sampling
+(specfun), and a Monte Carlo benchmark harness with a CLI (harness, cli).
 """
 
 from .baselines import KforConfig, PdafConfig, kfor_update, pdaf_update
 from .errors import CalibrationError, ConvergenceError, CovarianceCorrectionError, NumericalError
 from .harness import ScenarioConfig, Trials, emit_csv, run_monte_carlo, simulate_truth
-from .kalman import UpdateDiagnostics, kf_information_update, kf_update, pcrlb_recursion
+from .kalman import UpdateDiagnostics, kf_update
 from .metrics import RunSummary, consistency_interval, detect_divergence
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import (

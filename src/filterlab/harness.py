@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-# predict, the *_update names and run_trial (below) are unused here: they stay
-# because the benchmark's tracer (perfbench/tracing.py) wraps them here, and its
-# test_tracer_restores_wrapped_names fails without them. The runner calls
-# run_trials and the batched kernels, so those spans read 0 in a traced run.
+# predict, pcrlb_recursion, the *_update names and run_trial (below) are unused
+# here: they stay because the benchmark's tracer (perfbench/tracing.py) wraps
+# them here, and its test_tracer_restores_wrapped_names fails without them. The
+# runner calls run_trials and the batched kernels, so those spans read 0 in a
+# traced run.
 from .baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
 from .kalman import kf_batch, kf_update, pcrlb_recursion
 from .metrics import consistency_interval, detect_divergence, RunSummary
@@ -39,7 +40,6 @@ from .statespace import (
     predict_batch,
     rowdot,
     rowwise,
-    solve_pd,
     two_point_init,
 )
 
@@ -103,17 +103,20 @@ class ScenarioConfig:
             raise ValueError("workers must be at least 1")
         if len(self.x0) != STATE_DIM:
             raise ValueError(f"x0 must have {STATE_DIM} entries")
-        for name in ("T", "r_bar", "r_out", "tau", "alpha", "beta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.q >= 0.0:
-            raise ValueError("q must be nonnegative")
+        if not all(map(math.isfinite, self.x0)):
+            raise ValueError("x0 must be finite")
+        for name in ("T", "r_bar", "r_out", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.q < math.inf:
+            raise ValueError("q must be nonnegative and finite")
         if not 0.0 <= self.p_out <= 1.0:
             raise ValueError("p_out must lie in [0, 1]")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if not self.clutter_per_gate >= 0.0:
-            raise ValueError("clutter_per_gate must be nonnegative")
+        if not 0.0 <= self.clutter_per_gate < math.inf:
+            raise ValueError("clutter_per_gate must be nonnegative and finite")
+        self.mixing()        # validates alpha and beta
         self.nvmf_config()   # validates epsilon and max_iterations
         # Keep selection in canonical order for stable output columns.
         self.filters = tuple(f for f in FILTER_ORDER if f in self.filters)
@@ -300,16 +303,20 @@ def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
 
 
 def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
-    """Per-update covariance trace of the matched filter, from the posterior
-    information recursion seeded with the two-point initial covariance."""
+    """Per-update covariance trace of the matched filter: the "kf" kernel of
+    the run on a stack of one, from the two-point initial covariance. Its
+    covariance does not depend on the measurements, so they are zeros."""
     model = config.model()
-    R = config.r_bar * np.eye(MEAS_DIM)
-    init_cov = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T, R).cov
-    info = solve_pd(init_cov, np.eye(STATE_DIM))
+    kernel, *args = _filter_updates(config, model)["kf"]
+    init = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T,
+                          config.r_bar * np.eye(MEAS_DIM))
+    mean, cov = init.mean[None], init.cov[None]
+    z = np.zeros((1, MEAS_DIM))
     traces = np.empty(config.updates)
     for k in range(config.updates):
-        info = pcrlb_recursion(info, model, config.r_bar)
-        traces[k] = np.trace(solve_pd(info, np.eye(STATE_DIM)))
+        mean, cov = predict_batch(mean, cov, model)
+        mean, cov, _, _ = kernel(mean, cov, z, *args)
+        traces[k] = np.trace(cov[0])
     return traces
 
 

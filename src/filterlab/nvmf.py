@@ -65,8 +65,8 @@ class InverseGammaMixing:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("mixing parameters must be positive")
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError("mixing parameters must be positive and finite")
 
 
 @dataclass
@@ -76,8 +76,8 @@ class NvmfConfig:
     fixed_iteration_mode: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -372,6 +372,8 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, M: int,
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
+    if not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"M must be a positive integer, got {M!r}")
     if alpha_grid is None:
         alpha_grid = np.arange(0.5, 5.0001, 0.01)
     alpha_grid = np.asarray(alpha_grid, dtype=float)

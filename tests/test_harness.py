@@ -9,7 +9,7 @@ import pytest
 from filterlab import harness
 from filterlab.baselines import KforConfig, PdafConfig, pdaf_batch
 from filterlab.cli import main as cli_main
-from filterlab.kalman import kf_batch
+from filterlab.kalman import kf_batch, pcrlb_recursion
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from filterlab.nvmf import InverseGammaMixing, NvmfConfig
 from filterlab.harness import (
@@ -24,9 +24,10 @@ from filterlab.harness import (
     simulate_truth,
 )
 from filterlab.specfun import RngStream, sample_mvn
-from filterlab.statespace import cv_process_noise, cv_transition, predict_batch, two_point_init
+from filterlab.statespace import cv_process_noise, cv_transition, solve_pd, two_point_init
 
 NAN = math.nan
+INF = math.inf
 
 
 def small_config(**kw):
@@ -78,6 +79,17 @@ class TestScenarioConfig:
             dict(seed=1.5),
             dict(workers=1.5),
             dict(max_iterations=2.5),
+            dict(x0=(100.0, NAN, 20.0, 10.0)),
+            dict(x0=(100.0, 100.0, INF, 10.0)),
+            dict(T=INF),
+            dict(q=INF),
+            dict(r_bar=INF),
+            dict(r_out=INF),
+            dict(alpha=INF),
+            dict(beta=INF),
+            dict(tau=INF),
+            dict(epsilon=INF),
+            dict(clutter_per_gate=INF),
         ]:
             with pytest.raises(ValueError):
                 ScenarioConfig(**bad)
@@ -105,6 +117,9 @@ class TestScenarioConfig:
         lambda: MultivariateTNoise(1.0, 1.0, [[1.0, NAN], [NAN, 1.0]]),
         lambda: MultivariateTNoise(1.0, 1.0, np.diag([1.0, -1.0])),
         lambda: MultivariateTNoise(1.0, 1.0, np.ones((2, 3))),
+        lambda: InverseGammaMixing(INF, 1.0),
+        lambda: InverseGammaMixing(1.0, INF),
+        lambda: NvmfConfig(epsilon=INF),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):
@@ -201,21 +216,38 @@ class TestRunTrial:
             assert np.array_equal(a.nees[f], b.nees[f])
 
     def test_kf_trace_matches_information_recursion(self):
-        # The matched filter's covariance does not depend on the measurements,
-        # so the kernels run from the two-point initial covariance on zeros.
-        cfg = small_config(filters=("kf",), updates=40, k_star=10)
-        model = cfg.model()
-        R = cfg.r_bar * np.eye(2)
-        init = two_point_init(np.zeros(2), np.zeros(2), cfg.T, R)
-        mean, cov = init.mean[None], init.cov[None]
-        trace = np.empty(cfg.updates)
-        for k in range(cfg.updates):
-            mean, cov = predict_batch(mean, cov, model)
-            mean, cov, status, _ = kf_batch(mean, cov, np.zeros((1, 2)), model.H, R)
-            assert status[0] == 0
-            trace[k] = np.trace(cov[0])
+        # The information recursion is an independent route to the matched
+        # filter's covariance: inverse in, predict, add H' R^-1 H, inverse out.
+        for q in (0.0, 1e-6, 1.0):
+            cfg = small_config(q=q, updates=40)
+            model = cfg.model()
+            R = cfg.r_bar * np.eye(2)
+            info = solve_pd(two_point_init(np.zeros(2), np.zeros(2), cfg.T, R).cov, np.eye(4))
+            ref = np.empty(cfg.updates)
+            for k in range(cfg.updates):
+                info = pcrlb_recursion(info, model, cfg.r_bar)
+                ref[k] = np.trace(solve_pd(info, np.eye(4)))
+            trace = _kf_reference_trace(cfg)
+            assert np.all(np.abs(trace - ref) <= 1e-12 * ref)
+
+    def test_kf_trace_is_the_runs_own_kf_covariance(self, monkeypatch):
+        # The NRMSE normaliser is the trace of every KF row's covariance in
+        # the run itself, bit for bit, whatever the row's measurements.
+        cfg = small_config(trials=4, updates=40, noise="t")
         ref = _kf_reference_trace(cfg)
-        assert np.abs(trace - ref).max() < 1e-9 * ref.max()
+        traces = []
+
+        def recording(mean, cov, z, *args):
+            mean, cov, status, diag = kf_batch(mean, cov, z, *args)
+            traces.append([np.trace(c) for c in cov])
+            return mean, cov, status, diag
+
+        monkeypatch.setattr(harness, "kf_batch", recording)
+        trials = run_trials(cfg, range(4))
+        assert not trials.failed["kf"].any()
+        assert len(traces) == cfg.updates
+        for k, row_traces in enumerate(traces):
+            assert np.array_equal(row_traces, np.full(4, ref[k]))
 
     def test_noiseless_limit_tracks_exactly(self):
         # squared error scales with the vanishing measurement variance; the

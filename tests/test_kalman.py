@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from filterlab.errors import NumericalError
-from filterlab.kalman import kf_batch, kf_information_update, kf_update, pcrlb_recursion
+from filterlab.kalman import kf_batch, kf_update, pcrlb_recursion
 from filterlab.statespace import GaussianBelief, LinearModel, cv_process_noise, cv_transition, two_point_init
+
+from oracles import kf_information_update
 
 
 def random_pd(rng, n, scale=1.0):

@@ -8,9 +8,11 @@ import pytest
 from filterlab.baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
 from filterlab.errors import NumericalError
 from filterlab.harness import ScenarioConfig
-from filterlab.kalman import kf_batch, kf_information_update, kf_update
+from filterlab.kalman import kf_batch, kf_update
 from filterlab.nvmf import nvmf_batch, nvmf_update
 from filterlab.statespace import GaussianBelief, predict, predict_batch
+
+from oracles import kf_information_update
 
 CFG = ScenarioConfig(noise="t")
 MODEL = CFG.model()

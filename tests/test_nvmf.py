@@ -402,3 +402,11 @@ class TestCalibrateMixing:
             calibrate_mixing(100.0, 1.5, 100.0, 2)
         with pytest.raises(ValueError):
             calibrate_mixing(100.0, 0.01, 100.0, 2, n_samples=100)
+
+    @pytest.mark.parametrize("M", [0, -1, 1.5])
+    def test_rejects_non_positive_or_fractional_dimension(self, M):
+        rng = RngStream(102)
+        with pytest.raises(ValueError, match="M must be a positive integer"):
+            calibrate_mixing(100.0**2, 0.01, 100.0, M, n_samples=10_000, rng=rng)
+        # rejected before any draw: the stream is where a fresh one starts
+        assert rng.standard_normal(3).tolist() == RngStream(102).standard_normal(3).tolist()

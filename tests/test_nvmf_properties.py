@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterlab.kalman import kf_information_update
 from filterlab.nvmf import (
     InverseGammaMixing,
     NvmfConfig,
@@ -19,6 +18,8 @@ from filterlab.nvmf import (
     zeta,
 )
 from filterlab.statespace import GaussianBelief, LinearModel, symmetrize
+
+from oracles import kf_information_update
 
 EPSILON = 1e-12
 CONFIG = NvmfConfig(epsilon=EPSILON, max_iterations=500)

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab.baselines import PdafConfig, pdaf_batch
-from filterlab.kalman import kf_information_update
 from filterlab.statespace import GaussianBelief, symmetrize
+
+from oracles import kf_information_update
 
 ROWS = 4
 RTOL = 1e-10

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab.kalman import kf_information_update, pcrlb_recursion
+from filterlab.kalman import pcrlb_recursion
 from filterlab.nvmf import InverseGammaMixing, log_posterior, nvm_t_log_density, zeta
 from filterlab.specfun import RngStream, sample_mvn
 from filterlab.statespace import (
@@ -251,12 +251,9 @@ def _posterior(cov):
                          np.eye(2), np.eye(2), InverseGammaMixing(1.0, 1.0))
 
 
-# Each former scipy.linalg call site, called with one matrix in place of a
-# valid positive-definite one. The innovation covariance of the information
-# update stays positive definite for the indefinite prior used here.
+# Each former scipy.linalg call site in the library, called with one matrix
+# in place of a valid positive-definite one.
 SOLVE_SITES = {
-    "kf_information_update": lambda a: kf_information_update(
-        GaussianBelief(np.zeros(2), a), np.zeros(2), np.eye(2), np.eye(2)),
     "pcrlb_recursion": lambda a: pcrlb_recursion(np.kron(np.eye(2), a), _model(), 1.0),
     "log_posterior": _posterior,
     "nvm_t_log_density": lambda a: nvm_t_log_density(np.ones(2), InverseGammaMixing(1.0, 1.0), a),
