@@ -29,8 +29,8 @@ class KforConfig:
     w: float
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and self.w > 0.0):
-            raise ValueError("tau and w must be positive")
+        if not (0.0 < self.tau < math.inf and 0.0 < self.w < math.inf):
+            raise ValueError("tau and w must be positive and finite")
 
 
 @dataclass
@@ -47,10 +47,10 @@ class PdafConfig:
     def __post_init__(self):
         if not 0.0 < self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in (0, 1]")
-        if not self.gate > 0.0:
-            raise ValueError("gate must be positive")
-        if not self.clutter_density >= 0.0:
-            raise ValueError("clutter_density must be nonnegative")
+        if not 0.0 < self.gate < math.inf:
+            raise ValueError("gate must be positive and finite")
+        if not 0.0 <= self.clutter_density < math.inf:
+            raise ValueError("clutter_density must be nonnegative and finite")
         if self.p_gate is not None and not 0.0 < self.p_gate <= 1.0:
             raise ValueError("p_gate must lie in (0, 1]")
 
@@ -76,13 +76,20 @@ def kfor_batch(mean, cov, z, H, R, config: KforConfig):
     Returns (mean, cov, status, flags (N, m)).
     """
     H, residual, hp, hph = innovation_terms(mean, cov, z, H)
+    R_used, flags = _kfor_noise(hph, residual, R, config)
+    mean, cov, status, _, _ = kalman_step(mean, cov, R_used, H, residual, hp, hph)
+    return mean, cov, status, flags
+
+
+def _kfor_noise(hph, residual, R, config: KforConfig):
+    """KFOR's per-row measurement noise from innovation_terms' H P H' and
+    residual: R with each flagged component inflated by w^2 / 3. Returns
+    (R_used (N, m, m), flags (N, m))."""
     R = np.asarray(R, dtype=float)
     S_diag = np.diagonal(hph + R, axis1=-2, axis2=-1)
     # A non-positive variance gives NaN (no flag, no warning); kalman_step fails the row.
     flags = np.abs(residual) / np.sqrt(np.where(S_diag > 0.0, S_diag, np.nan)) > config.tau
-    R_used = R + (config.w**2 / 3.0) * (flags[..., None] * identity(R.shape[-1]))
-    mean, cov, status, _, _ = kalman_step(mean, cov, R_used, H, residual, hp, hph)
-    return mean, cov, status, flags
+    return R + (config.w**2 / 3.0) * (flags[..., None] * identity(R.shape[-1])), flags
 
 
 def kfor_update(prior: GaussianBelief, z, H, R, config: KforConfig):
@@ -111,8 +118,14 @@ def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
     on the same innovation covariances as there.
     Returns (mean, cov, status, gated (N,)).
     """
-    kf_mean, kf_cov, status, d, gv = kalman_step(mean, cov, R,
-                                                 *innovation_terms(mean, cov, z, H))
+    _, kf_cov, status, d, gv = kalman_step(mean, cov, R, *innovation_terms(mean, cov, z, H))
+    return _pdaf_reweight(mean, cov, kf_cov, status, d, gv, config)
+
+
+def _pdaf_reweight(mean, cov, kf_cov, status, d, gv, config: PdafConfig):
+    """pdaf_batch from kalman_step's covariance, status, diagnostics and G v
+    over the same prior rows. Marks non-finite posteriors in status in
+    place. Returns (mean, cov, status, gated)."""
     m = d.innovation.shape[-1]
     d2 = rowdot(d.innovation, d.solved_innovation)
     gated = d2 > config.gate**2

@@ -20,13 +20,29 @@ from pathlib import Path
 
 import numpy as np
 
-# predict, pcrlb_recursion, the *_update names and run_trial (below) are unused
-# here: they stay because the benchmark's tracer (perfbench/tracing.py) wraps
-# them here, and its test_tracer_restores_wrapped_names fails without them. The
-# runner calls run_trials and the batched kernels, so those spans read 0 in a
-# traced run.
-from .baselines import KforConfig, PdafConfig, kfor_batch, kfor_update, pdaf_batch, pdaf_update
-from .kalman import kf_batch, kf_update, pcrlb_recursion
+# kf_update, kfor_update, pdaf_update, nvmf_update, predict and pcrlb_recursion
+# are not called here: they stay because the benchmark's tracer
+# (perfbench/tracing.py) wraps them in this module, as it wraps run_trial and
+# simulate_truth below, and its test_tracer_restores_wrapped_names fails
+# without them. run_trials reaches the filters through the stacked kernels
+# and the truth through _truth_draws and _propagate, so those spans read 0 in
+# a traced run.
+from .baselines import (
+    KforConfig,
+    PdafConfig,
+    _kfor_noise,
+    _pdaf_reweight,
+    kfor_update,
+    pdaf_update,
+)
+from .kalman import (
+    UpdateDiagnostics,
+    innovation_terms,
+    kalman_step,
+    kf_batch,
+    kf_update,
+    pcrlb_recursion,
+)
 from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
@@ -197,8 +213,13 @@ def simulate_truth(config: ScenarioConfig, rng: RngStream):
     Draws are taken from rng in this order: the two initialization noises,
     then the K process-noise vectors.
     """
-    K = config.updates
-    F = cv_transition(config.T)
+    z_minus1, z_0, process_noise = _truth_draws(config, rng)
+    return _propagate(config, process_noise), z_minus1, z_0
+
+
+def _truth_draws(config: ScenarioConfig, rng: RngStream):
+    """simulate_truth's draws: the two initialization measurements, then the
+    (K, n) process noise."""
     x0 = np.asarray(config.x0)
     x_back = cv_transition(-config.T) @ x0
 
@@ -209,29 +230,20 @@ def simulate_truth(config: ScenarioConfig, rng: RngStream):
     z_0 = POSITION_H @ x0 + init_noise[1]
 
     process_noise = sample_mvn(np.zeros(STATE_DIM), cv_process_noise(config.T, config.q), rng,
-                               size=K)
-    truth = np.empty((K + 1, STATE_DIM))
-    truth[0] = x0
-    for k in range(1, K + 1):
-        truth[k] = F @ truth[k - 1] + process_noise[k - 1]
-    return truth, z_minus1, z_0
+                               size=config.updates)
+    return z_minus1, z_0, process_noise
 
 
-def _filter_updates(config: ScenarioConfig, model: LinearModel) -> dict:
-    """(kernel, *args) per filter, called as kernel(mean, cov, z, *args):
-    the selected filters plus the reference filter, which always runs, since
-    its squared-error envelope defines track loss for every filter."""
-    H = model.H
-    R = config.r_bar * np.eye(MEAS_DIM)
-    args = {
-        "kf": (kf_batch, H, R),
-        "nvmf": (nvmf_batch, model, config.mixing(), config.nvmf_config()),
-        "pdaf": (pdaf_batch, H, R,
-                 PdafConfig(config.p_detect, config.gate, config.clutter_density)),
-        "kfor": (kfor_batch, H, R, KforConfig(config.tau, config.w)),
-    }
-    names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]
-    return {f: args[f] for f in names}
+def _propagate(config: ScenarioConfig, process_noise: np.ndarray) -> np.ndarray:
+    """The truth recurrence x_k = F x_{k-1} + w_k from x0, for process noise
+    (K, n) of one trial or (K, N, n) of a stack: truth (K + 1, n) or
+    (K + 1, N, n), one stacked matvec per update."""
+    F = cv_transition(config.T)
+    truth = np.empty((process_noise.shape[0] + 1,) + process_noise.shape[1:])
+    truth[0] = config.x0
+    for k in range(1, truth.shape[0]):
+        truth[k] = matvec(F, truth[k - 1]) + process_noise[k - 1]
+    return truth
 
 
 def _nees(err: np.ndarray, cov: np.ndarray):
@@ -241,60 +253,109 @@ def _nees(err: np.ndarray, cov: np.ndarray):
     return rowdot(err, solved[..., 0]), bad
 
 
+# The filters' order in run_trials' stack: the Kalman family, which shares
+# one Kalman step, then NVMF.
+STACK_ORDER = ("kf", "pdaf", "kfor", "nvmf")
+
+
+def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: KforConfig,
+                  pdaf_config: PdafConfig, mixing: InverseGammaMixing, nvmf_config: NvmfConfig):
+    """One measurement update of a stack of predicted beliefs sorted by
+    filter, rows mapping each filter in STACK_ORDER to its slice.
+
+    The KF, PDAF and KFOR rows go through one innovation_terms and one
+    kalman_step, KFOR's rows at their inflated noise; PDAF's rows are then
+    reweighted, and the NVMF rows go through nvmf_batch. Each row's result
+    is bit for bit that of its filter's public kernel.
+    Returns (mean, cov, status).
+    """
+    post_mean, post_cov = np.empty_like(mean), np.empty_like(cov)
+    status = np.empty(len(mean), dtype=np.int8)
+    pdaf, kfor, nvmf = rows["pdaf"], rows["kfor"], rows["nvmf"]
+    kalman = slice(0, kfor.stop)   # KF, PDAF and KFOR
+    if kalman.stop:
+        H, v, hp, hph = innovation_terms(mean[kalman], cov[kalman], z[kalman], model.H)
+        R_rows = np.repeat(R[None], kalman.stop, axis=0)
+        R_rows[kfor], _ = _kfor_noise(hph[kfor], v[kfor], R, kfor_config)
+        post_mean[kalman], post_cov[kalman], status[kalman], d, gv = kalman_step(
+            mean[kalman], cov[kalman], R_rows, H, v, hp, hph)
+        if pdaf.start < pdaf.stop:
+            post_mean[pdaf], post_cov[pdaf], status[pdaf], _ = _pdaf_reweight(
+                mean[pdaf], cov[pdaf], post_cov[pdaf], status[pdaf],
+                UpdateDiagnostics(*(a[pdaf] for a in vars(d).values())), gv[pdaf], pdaf_config)
+    if nvmf.start < nvmf.stop:
+        post_mean[nvmf], post_cov[nvmf], status[nvmf], _ = nvmf_batch(
+            mean[nvmf], cov[nvmf], z[nvmf], model, mixing, nvmf_config)
+    return post_mean, post_cov, status
+
+
 def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     """Deterministic trials: simulate each from its own stream, then advance
     every filter over the stack of trials one update at a time.
 
-    A filter that fails on a trial (a failed update, or a non-finite error
-    or NEES) is marked failed there from that update on, and that trial
-    drops out of the filter's stack; no other trial or filter is affected.
-    Each trial's numbers are the same whatever other trials share its stack.
+    The beliefs of every filter on every trial are one stack, sorted by
+    filter in STACK_ORDER and by trial within a filter, so an update is one
+    predict_batch, one _update_stack and one error and NEES pass. A filter
+    that fails on a trial (a failed update, or a non-finite error or NEES)
+    is marked failed there from that update on, and its row drops out of
+    the stack; no other trial or filter is affected. Each row's numbers are
+    the same whatever other rows share its stack.
     """
     ids = np.array(list(trial_ids), dtype=np.int64)
     N = ids.size
     K = config.updates
     model = config.model()
-    H = model.H
     R = config.r_bar * np.eye(MEAS_DIM)
     regime = config.noise_regime()
-    truth = np.empty((N, K + 1, STATE_DIM))
-    measurements = np.empty((K, N, MEAS_DIM))
+    process_noise = np.empty((K, N, STATE_DIM))
+    noise = np.empty((K, N, MEAS_DIM))
     init_mean = np.empty((N, STATE_DIM))
     init_cov = np.empty((N, STATE_DIM, STATE_DIM))
     for j, trial_id in enumerate(ids.tolist()):
         rng = RngStream(config.seed, trial_id)
-        truth[j], z_minus1, z_0 = simulate_truth(config, rng)
-        measurements[:, j] = matvec(H, truth[j, 1:]) + sample_noise(regime, rng, size=K)
+        z_minus1, z_0, process_noise[:, j] = _truth_draws(config, rng)
+        noise[:, j] = sample_noise(regime, rng, size=K)
         init = two_point_init(z_0, z_minus1, config.T, R)
         init_mean[j], init_cov[j] = init.mean, init.cov
+    truth = _propagate(config, process_noise)
+    measurements = matvec(model.H, truth[1:]) + noise
 
-    updates = _filter_updates(config, model)
-    squared_error = {f: np.full((N, K), np.inf) for f in updates}
-    nees = {f: np.full((N, K), np.inf) for f in updates}
-    failed = {f: np.zeros(N, dtype=bool) for f in updates}
-    # Per filter: the trials still tracked, and their beliefs.
-    beliefs = {f: (np.arange(N), init_mean, init_cov) for f in updates}
+    # The selected filters plus the reference filter, which always runs,
+    # since its squared-error envelope defines track loss for every filter.
+    names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]
+    filter_idx = np.repeat([i for i, f in enumerate(STACK_ORDER) if f in names], N)
+    trial_idx = np.tile(np.arange(N), len(names))
+    mean, cov = init_mean[trial_idx], init_cov[trial_idx]
+    kernel_args = (model, R, KforConfig(config.tau, config.w),
+                   PdafConfig(config.p_detect, config.gate, config.clutter_density),
+                   config.mixing(), config.nvmf_config())
+    # Indexed by filter in STACK_ORDER, then by trial.
+    squared_error = np.full((len(STACK_ORDER), N, K), np.inf)
+    nees = np.full((len(STACK_ORDER), N, K), np.inf)
+    failed = np.zeros((len(STACK_ORDER), N), dtype=bool)
 
     with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
         for k in range(K):
-            for f, (kernel, *args) in updates.items():
-                rows, mean, cov = beliefs[f]
-                if not rows.size:
-                    continue
-                mean, cov = predict_batch(mean, cov, model)
-                mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
-                err = mean - truth[rows, k + 1]
-                se = rowdot(err, err)
-                ne, singular = _nees(err, cov)
-                ok = (status == 0) & ~singular & np.isfinite(se) & np.isfinite(ne)
-                if not ok.all():
-                    failed[f][rows[~ok]] = True
-                    rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))
-                squared_error[f][rows, k] = se
-                nees[f][rows, k] = ne
-                beliefs[f] = rows, mean, cov
+            if not filter_idx.size:
+                break
+            bounds = np.searchsorted(filter_idx, np.arange(len(STACK_ORDER) + 1)).tolist()
+            rows = dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
+            mean, cov = predict_batch(mean, cov, model)
+            mean, cov, status = _update_stack(mean, cov, measurements[k, trial_idx], rows,
+                                              *kernel_args)
+            err = mean - truth[k + 1, trial_idx]
+            se = rowdot(err, err)
+            ne, singular = _nees(err, cov)
+            ok = (status == 0) & ~singular & np.isfinite(se) & np.isfinite(ne)
+            if not ok.all():
+                failed[filter_idx[~ok], trial_idx[~ok]] = True
+                filter_idx, trial_idx, mean, cov, se, ne = (
+                    a[ok] for a in (filter_idx, trial_idx, mean, cov, se, ne))
+            squared_error[filter_idx, trial_idx, k] = se
+            nees[filter_idx, trial_idx, k] = ne
 
-    return Trials(ids, squared_error, nees, failed)
+    return Trials(ids, *({f: a[STACK_ORDER.index(f)] for f in names}
+                         for a in (squared_error, nees, failed)))
 
 
 def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
@@ -303,19 +364,19 @@ def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
 
 
 def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
-    """Per-update covariance trace of the matched filter: the "kf" kernel of
-    the run on a stack of one, from the two-point initial covariance. Its
-    covariance does not depend on the measurements, so they are zeros."""
+    """Per-update covariance trace of the matched filter: the KF kernel and
+    (H, R) of the run on a stack of one, from the two-point initial
+    covariance. Its covariance does not depend on the measurements, so they
+    are zeros."""
     model = config.model()
-    kernel, *args = _filter_updates(config, model)["kf"]
-    init = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T,
-                          config.r_bar * np.eye(MEAS_DIM))
+    R = config.r_bar * np.eye(MEAS_DIM)
+    init = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T, R)
     mean, cov = init.mean[None], init.cov[None]
     z = np.zeros((1, MEAS_DIM))
     traces = np.empty(config.updates)
     for k in range(config.updates):
         mean, cov = predict_batch(mean, cov, model)
-        mean, cov, _, _ = kernel(mean, cov, z, *args)
+        mean, cov, _, _ = kf_batch(mean, cov, z, model.H, R)
         traces[k] = np.trace(cov[0])
     return traces
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,6 +19,7 @@ from .specfun import (
     sample_mvn,
     sample_t_mixture,
 )
+from .nvmf import InverseGammaMixing
 from .statespace import checked_covariance, matvec
 
 
@@ -27,8 +29,8 @@ class GaussianNoise:
     Rbar: np.ndarray
 
     def __post_init__(self):
-        if not self.r_bar > 0.0:
-            raise ValueError("r_bar must be positive")
+        if not 0.0 < self.r_bar < math.inf:
+            raise ValueError("r_bar must be positive and finite")
         self.Rbar = checked_covariance("Rbar", self.Rbar)
 
 
@@ -43,8 +45,8 @@ class GaussianUniformNoise:
     r_out: float
 
     def __post_init__(self):
-        if not (self.r_bar > 0.0 and self.r_out > 0.0):
-            raise ValueError("scale parameters must be positive")
+        if not (0.0 < self.r_bar < math.inf and 0.0 < self.r_out < math.inf):
+            raise ValueError("scale parameters must be positive and finite")
         if not 0.0 <= self.p_out <= 1.0:
             raise ValueError("p_out must lie in [0, 1]")
         self.Rbar = checked_covariance("Rbar", self.Rbar)
@@ -61,8 +63,7 @@ class MultivariateTNoise:
     Rbar: np.ndarray
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("alpha and beta must be positive")
+        InverseGammaMixing(self.alpha, self.beta)   # validates alpha and beta
         self.Rbar = checked_covariance("Rbar", self.Rbar)
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from filterlab import harness
-from filterlab.baselines import KforConfig, PdafConfig, pdaf_batch
+from filterlab.baselines import KforConfig, PdafConfig, _pdaf_reweight
 from filterlab.cli import main as cli_main
-from filterlab.kalman import kf_batch, pcrlb_recursion
+from filterlab.kalman import kalman_step, pcrlb_recursion
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from filterlab.nvmf import InverseGammaMixing, NvmfConfig
 from filterlab.harness import (
@@ -25,6 +25,7 @@ from filterlab.harness import (
 )
 from filterlab.specfun import RngStream, sample_mvn
 from filterlab.statespace import cv_process_noise, cv_transition, solve_pd, two_point_init
+from oracles import run_trials_per_filter
 
 NAN = math.nan
 INF = math.inf
@@ -120,6 +121,13 @@ class TestScenarioConfig:
         lambda: InverseGammaMixing(INF, 1.0),
         lambda: InverseGammaMixing(1.0, INF),
         lambda: NvmfConfig(epsilon=INF),
+        lambda: KforConfig(INF, 1.0),
+        lambda: KforConfig(1.0, INF),
+        lambda: PdafConfig(0.9, INF, 0.1),
+        lambda: PdafConfig(0.9, 1.0, INF),
+        lambda: GaussianNoise(INF, np.eye(2)),
+        lambda: GaussianUniformNoise(INF, np.eye(2), 0.1, 1.0),
+        lambda: GaussianUniformNoise(1.0, np.eye(2), 0.1, INF),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):
@@ -232,17 +240,19 @@ class TestRunTrial:
 
     def test_kf_trace_is_the_runs_own_kf_covariance(self, monkeypatch):
         # The NRMSE normaliser is the trace of every KF row's covariance in
-        # the run itself, bit for bit, whatever the row's measurements.
+        # the run itself, bit for bit, whatever the row's measurements. The
+        # KF rows are the first trials-many rows of the one Kalman step.
         cfg = small_config(trials=4, updates=40, noise="t")
         ref = _kf_reference_trace(cfg)
         traces = []
 
-        def recording(mean, cov, z, *args):
-            mean, cov, status, diag = kf_batch(mean, cov, z, *args)
-            traces.append([np.trace(c) for c in cov])
-            return mean, cov, status, diag
+        def recording(mean, cov, *args):
+            out = kalman_step(mean, cov, *args)
+            assert len(mean) == 12   # 4 trials each of KF, PDAF and KFOR
+            traces.append([np.trace(c) for c in out[1][:4]])
+            return out
 
-        monkeypatch.setattr(harness, "kf_batch", recording)
+        monkeypatch.setattr(harness, "kalman_step", recording)
         trials = run_trials(cfg, range(4))
         assert not trials.failed["kf"].any()
         assert len(traces) == cfg.updates
@@ -268,19 +278,19 @@ class TestRunTrial:
 
 class TestFailureContract:
     def test_failed_row_marks_one_filter_on_one_trial(self, monkeypatch):
-        # Fail stack row 0 (trial 0) of the PDAF update at update k = 5.
+        # Fail PDAF's row 0 (trial 0) of the stacked update at update k = 5.
         cfg = small_config(trials=4)
         clean = run_trials(cfg, range(4))
         calls = []
 
-        def failing(mean, cov, z, *args):
-            mean, cov, status, diag = pdaf_batch(mean, cov, z, *args)
+        def failing(mean, cov, kf_cov, status, *args):
+            mean, cov, status, gated = _pdaf_reweight(mean, cov, kf_cov, status, *args)
             calls.append(len(mean))
             if len(calls) == 5:
                 status[0] = 1
-            return mean, cov, status, diag
+            return mean, cov, status, gated
 
-        monkeypatch.setattr(harness, "pdaf_batch", failing)
+        monkeypatch.setattr(harness, "_pdaf_reweight", failing)
         trials = run_trials(cfg, range(4))
         assert calls[5:] and set(calls[5:]) == {3}
         assert trials.failed["pdaf"].tolist() == [True, False, False, False]
@@ -299,6 +309,37 @@ class TestFailureContract:
         calls.clear()
         summary, _ = run_monte_carlo(cfg)
         assert summary.lost_tracks["pdaf"] >= 1
+
+
+def assert_same_trials(got: Trials, ref: Trials):
+    assert got.trial_ids.tolist() == ref.trial_ids.tolist()
+    assert list(got.failed) == list(ref.failed)
+    for f in ref.failed:
+        assert got.squared_error[f].tobytes() == ref.squared_error[f].tobytes()
+        assert got.nees[f].tobytes() == ref.nees[f].tobytes()
+        assert got.failed[f].tolist() == ref.failed[f].tolist()
+
+
+class TestStackedLoop:
+    """run_trials' one stack of every filter's rows equals one loop per
+    filter through its public kernel, bit for bit."""
+
+    @pytest.mark.parametrize("filters", [FILTER_ORDER, ("nvmf",), ("pdaf", "kfor")])
+    @pytest.mark.parametrize("noise", ["gaussian", "gu", "t"])
+    def test_equals_per_filter_loop(self, noise, filters):
+        cfg = small_config(noise=noise, filters=filters, updates=40)
+        ids = [4, 0, 9, 2, 5]
+        assert_same_trials(run_trials(cfg, ids), run_trials_per_filter(cfg, ids))
+
+    def test_failed_rows_equal_per_filter_loop(self):
+        # A tiny measurement variance against a large process noise fails
+        # KF and KFOR on every trial, at different updates, so rows leave
+        # the stack while PDAF and NVMF go on.
+        cfg = small_config(noise="gu", r_bar=1e-30, q=1.0, trials=12, updates=40)
+        got = run_trials(cfg, range(12))
+        assert got.failed["kf"].all() and got.failed["kfor"].all()
+        assert not got.failed["pdaf"].any() and not got.failed["nvmf"].any()
+        assert_same_trials(got, run_trials_per_filter(cfg, range(12)))
 
 
 class TestRunMonteCarlo:

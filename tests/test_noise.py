@@ -164,6 +164,12 @@ class TestMultivariateTRegime:
                 MultivariateTNoise(1.0, 1.0, Rbar)
         MultivariateTNoise(1.0, 1.0, SEMIDEFINITE_RBAR)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.inf, 1.0), (1.0, np.inf)])
+    def test_rejects_what_the_mixing_rejects(self, alpha, beta):
+        # The regime's alpha and beta are checked by InverseGammaMixing itself.
+        with pytest.raises(ValueError, match="mixing parameters"):
+            MultivariateTNoise(alpha, beta, np.eye(2))
+
 
 def test_unknown_regime_rejected():
     with pytest.raises(TypeError):
