@@ -114,8 +114,8 @@ def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
     where L is the Gaussian likelihood of the innovation. The combined
     posterior covariance is beta_0 * P_prior + beta_1 * P_kalman plus the
     spread-of-means term beta_1 * (1 - beta_1) * G v v' G'. The Kalman
-    posterior, gain G, S^-1 v and log det S are kf_batch's, so a row fails
-    on the same innovation covariances as there.
+    posterior, gain G, S^-1 v and the eigenvalues of S (which give log det S)
+    are kf_batch's, so a row fails on the same innovation covariances as there.
     Returns (mean, cov, status, gated (N,)).
     """
     _, kf_cov, status, d, gv = kalman_step(mean, cov, R, *innovation_terms(mean, cov, z, H))
@@ -130,7 +130,10 @@ def _pdaf_reweight(mean, cov, kf_cov, status, d, gv, config: PdafConfig):
     d2 = rowdot(d.innovation, d.solved_innovation)
     gated = d2 > config.gate**2
 
-    likelihood = np.exp(-0.5 * d2 - 0.5 * (m * math.log(2.0 * math.pi) + d.innovation_log_det))
+    # NaN on a row whose S is not positive definite; kalman_step failed it.
+    w = d.innovation_eigvals
+    log_det = np.log(np.where(w > 0.0, w, np.nan)).sum(-1)
+    likelihood = np.exp(-0.5 * d2 - 0.5 * (m * math.log(2.0 * math.pi) + log_det))
     weight_miss = config.clutter_density * (1.0 - config.p_detect * config.gate_probability(m))
     weight_hit = config.p_detect * likelihood
     total = weight_hit + weight_miss

@@ -35,14 +35,7 @@ from .baselines import (
     kfor_update,
     pdaf_update,
 )
-from .kalman import (
-    UpdateDiagnostics,
-    innovation_terms,
-    kalman_step,
-    kf_batch,
-    kf_update,
-    pcrlb_recursion,
-)
+from .kalman import UpdateDiagnostics, innovation_terms, kalman_step, kf_update, pcrlb_recursion
 from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
@@ -109,8 +102,14 @@ class ScenarioConfig:
         if not self.filters:
             raise ValueError("at least one filter must be selected")
         for name in ("trials", "updates", "k_star", "seed", "workers"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.init_from_regime, (bool, np.bool_)):
+            raise ValueError("init_from_regime must be a bool")
+        # RngStream's key range, checked without importing numpy.random for a stream.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 < self.k_star < self.updates:
@@ -133,7 +132,7 @@ class ScenarioConfig:
         if not 0.0 <= self.clutter_per_gate < math.inf:
             raise ValueError("clutter_per_gate must be nonnegative and finite")
         self.mixing()        # validates alpha and beta
-        self.nvmf_config()   # validates epsilon and max_iterations
+        self.nvmf_config()   # validates epsilon, max_iterations and fixed_iteration_mode
         # Keep selection in canonical order for stable output columns.
         self.filters = tuple(f for f in FILTER_ORDER if f in self.filters)
 
@@ -185,20 +184,25 @@ class Trials:
     """Per-update results of every filter over a stack of trials, row j
     being trial trial_ids[j]: squared_error and nees map each filter to an
     (N, K) array (inf from a failed update on), failed and diverged (set by
-    run_monte_carlo: failed, or out of the reference envelope) to (N,) flags."""
+    run_monte_carlo: failed, or out of the reference envelope) to (N,) flags.
+    kf_cov_trace (K,) is the trace of every KF row's covariance (which does
+    not depend on the measurements), NaN from the last KF row's failure on."""
 
     trial_ids: np.ndarray
     squared_error: dict
     nees: dict
     failed: dict
+    kf_cov_trace: np.ndarray
     diverged: dict = field(default_factory=dict)
 
     @classmethod
     def concat(cls, parts) -> "Trials":
-        """One stack from consecutive chunks, rows in the order given."""
+        """One stack from consecutive chunks, rows in the order given. The
+        chunks' KF traces agree where defined, and fmax skips their NaN."""
         return cls(np.concatenate([p.trial_ids for p in parts]), *(
             {f: np.concatenate([getattr(p, attr)[f] for p in parts]) for f in parts[0].failed}
-            for attr in ("squared_error", "nees", "failed")))
+            for attr in ("squared_error", "nees", "failed")),
+            np.fmax.reduce([p.kf_cov_trace for p in parts]))
 
 
 def simulate_truth(config: ScenarioConfig, rng: RngStream):
@@ -299,7 +303,8 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     that fails on a trial (a failed update, or a non-finite error or NEES)
     is marked failed there from that update on, and its row drops out of
     the stack; no other trial or filter is affected. Each row's numbers are
-    the same whatever other rows share its stack.
+    the same whatever other rows share its stack. The KF rows' covariance
+    trace, the NRMSE normaliser, is read off the stack after each update.
     """
     ids = np.array(list(trial_ids), dtype=np.int64)
     N = ids.size
@@ -333,6 +338,7 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     squared_error = np.full((len(STACK_ORDER), N, K), np.inf)
     nees = np.full((len(STACK_ORDER), N, K), np.inf)
     failed = np.zeros((len(STACK_ORDER), N), dtype=bool)
+    kf_cov_trace = np.full(K, np.nan)
 
     with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
         for k in range(K):
@@ -353,32 +359,16 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
                     a[ok] for a in (filter_idx, trial_idx, mean, cov, se, ne))
             squared_error[filter_idx, trial_idx, k] = se
             nees[filter_idx, trial_idx, k] = ne
+            if filter_idx.size and filter_idx[0] == 0:   # KF rows come first
+                kf_cov_trace[k] = np.trace(cov[0])
 
     return Trials(ids, *({f: a[STACK_ORDER.index(f)] for f in names}
-                         for a in (squared_error, nees, failed)))
+                         for a in (squared_error, nees, failed)), kf_cov_trace)
 
 
 def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
     """One deterministic trial: a stack of one."""
     return run_trials(config, [trial_id])
-
-
-def _kf_reference_trace(config: ScenarioConfig) -> np.ndarray:
-    """Per-update covariance trace of the matched filter: the KF kernel and
-    (H, R) of the run on a stack of one, from the two-point initial
-    covariance. Its covariance does not depend on the measurements, so they
-    are zeros."""
-    model = config.model()
-    R = config.r_bar * np.eye(MEAS_DIM)
-    init = two_point_init(np.zeros(MEAS_DIM), np.zeros(MEAS_DIM), config.T, R)
-    mean, cov = init.mean[None], init.cov[None]
-    z = np.zeros((1, MEAS_DIM))
-    traces = np.empty(config.updates)
-    for k in range(config.updates):
-        mean, cov = predict_batch(mean, cov, model)
-        mean, cov, _, _ = kf_batch(mean, cov, z, model.H, R)
-        traces[k] = np.trace(cov[0])
-    return traces
 
 
 def run_monte_carlo(config: ScenarioConfig):
@@ -398,6 +388,7 @@ def run_monte_carlo(config: ScenarioConfig):
     else:
         trials = run_trials(config, chunks[0])
 
+    # A trial whose KF row never failed defines every entry of kf_cov_trace.
     usable = ~trials.failed["kf"]
     if not usable.any():
         raise RuntimeError("all trials failed")
@@ -413,12 +404,12 @@ def run_monte_carlo(config: ScenarioConfig):
     n_eff = int(kept.sum())
     lost = {f: int(trials.diverged[f].sum()) for f in config.filters}
 
-    kf_trace = _kf_reference_trace(config)
     nrmse_by_filter = {}
     anees_by_filter = {}
     for f in config.filters:
         if n_eff:
-            nrmse_by_filter[f] = np.sqrt(trials.squared_error[f][kept].mean(axis=0) / kf_trace)
+            nrmse_by_filter[f] = np.sqrt(trials.squared_error[f][kept].mean(axis=0)
+                                          / trials.kf_cov_trace)
             anees_by_filter[f] = trials.nees[f][kept].mean(axis=0)
         else:
             nrmse_by_filter[f] = np.full(config.updates, np.nan)
@@ -435,7 +426,7 @@ def run_monte_carlo(config: ScenarioConfig):
         lost_tracks=lost,
         n_trials=config.trials,
         n_eff=n_eff,
-        kf_cov_trace=kf_trace,
+        kf_cov_trace=trials.kf_cov_trace,
     )
     return summary, trials
 

@@ -29,13 +29,14 @@ COND_LIMIT = 1e12
 
 @dataclass
 class UpdateDiagnostics:
-    """Innovation v, its covariance S, the gain, S^-1 v, and log det S."""
+    """Innovation v, its covariance S, the gain, S^-1 v, and the ascending
+    eigenvalues of S."""
 
     innovation: np.ndarray
     innovation_cov: np.ndarray
     gain: np.ndarray
     solved_innovation: np.ndarray
-    innovation_log_det: np.ndarray
+    innovation_eigvals: np.ndarray
 
 
 def kf_batch(mean, cov, z, H, R):
@@ -44,8 +45,8 @@ def kf_batch(mean, cov, z, H, R):
     R is one (m, m) covariance or one per row. An innovation covariance
     that is not positive definite or worse conditioned than COND_LIMIT
     fails its row. One solve through S gives the gain and S^-1 v, and the
-    eigenvalues of the condition test give log det S (NaN on a row whose S
-    is not positive definite). Returns (mean, cov, status,
+    diagnostics carry the eigenvalues of the condition test, from which
+    pdaf_batch takes log det S. Returns (mean, cov, status,
     UpdateDiagnostics of stacks).
     """
     return kalman_step(mean, cov, R, *innovation_terms(mean, cov, z, H))[:4]
@@ -69,7 +70,6 @@ def kalman_step(mean, cov, R, H, innovation, hp, hph):
     mark_failed(status, bad, Failure.NON_FINITE)
     mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                 Failure.ILL_CONDITIONED)
-    log_det = np.log(np.where(w > 0.0, w, np.nan)).sum(-1)
     solved, bad = rowwise(np.linalg.solve, S, np.concatenate([hp, innovation[..., None]], -1))
     mark_failed(status, bad, Failure.ILL_CONDITIONED)
     gain = solved[..., :-1].swapaxes(-1, -2)
@@ -77,7 +77,7 @@ def kalman_step(mean, cov, R, H, innovation, hp, hph):
     mean = mean + correction
     cov = symmetrize((identity(cov.shape[-1]) - gain @ H) @ cov)
     mark_non_finite(status, mean, cov)
-    diagnostics = UpdateDiagnostics(innovation, S, gain, solved[..., -1], log_det)
+    diagnostics = UpdateDiagnostics(innovation, S, gain, solved[..., -1], w)
     return mean, cov, status, diagnostics, correction
 
 
@@ -98,8 +98,8 @@ def pcrlb_recursion(prior_info: np.ndarray, model: LinearModel, r: float) -> np.
     The prediction propagates through the covariance domain,
     J -> (F J^-1 F' + Q)^-1, and the update adds (1/r) H' Rbar^-1 H. The
     inverse of the result is the matched Kalman filter's error covariance,
-    so the tests check the error normalizer, which runs the filter itself,
-    against it.
+    so the tests check the error normalizer, the trace of the run's own KF
+    rows' covariance, against it.
     """
     if not r > 0.0:
         raise ValueError(f"pcrlb_recursion requires r > 0, got {r}")

@@ -78,8 +78,11 @@ class NvmfConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
+        if not isinstance(self.fixed_iteration_mode, (bool, np.bool_)):
+            raise ValueError("fixed_iteration_mode must be a bool")
 
 
 @dataclass

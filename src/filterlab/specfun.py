@@ -149,8 +149,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative")
+        # Philox's key holds each as a 64-bit unsigned integer.
+        if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
+            raise ValueError("seed and stream_id must lie in [0, 2**64)")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)

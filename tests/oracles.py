@@ -56,8 +56,7 @@ def kf_information_update(prior: GaussianBelief, z, H, R):
     innovation = z - H @ prior.mean
     mean = prior.mean + gain @ innovation
     cov = symmetrize(solve_pd(info, np.eye(n)))
-    diagnostics = UpdateDiagnostics(innovation, S, gain, solve_pd(S, innovation),
-                                    np.log(w).sum())
+    diagnostics = UpdateDiagnostics(innovation, S, gain, solve_pd(S, innovation), w)
     return GaussianBelief(mean, cov), diagnostics
 
 
@@ -94,6 +93,7 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
     squared_error = {f: np.full((N, K), np.inf) for f in updates}
     nees = {f: np.full((N, K), np.inf) for f in updates}
     failed = {f: np.zeros(N, dtype=bool) for f in updates}
+    kf_cov_trace = np.full(K, np.nan)
     beliefs = {f: (np.arange(N), init_mean, init_cov) for f in updates}
 
     with np.errstate(all="ignore"):
@@ -114,5 +114,7 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
                 squared_error[f][rows, k] = se
                 nees[f][rows, k] = ne
                 beliefs[f] = rows, mean, cov
+                if f == "kf" and rows.size:
+                    kf_cov_trace[k] = np.trace(cov[0])
 
-    return Trials(ids, squared_error, nees, failed)
+    return Trials(ids, squared_error, nees, failed, kf_cov_trace)

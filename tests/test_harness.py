@@ -16,7 +16,6 @@ from filterlab.harness import (
     FILTER_ORDER,
     ScenarioConfig,
     Trials,
-    _kf_reference_trace,
     emit_csv,
     run_monte_carlo,
     run_trial,
@@ -35,6 +34,20 @@ def small_config(**kw):
     base = dict(trials=8, updates=30, k_star=8, seed=3, noise="gaussian")
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def information_trace(cfg):
+    """The matched filter's covariance trace per update by an independent
+    route, the information recursion: inverse in, predict, add H' R^-1 H,
+    inverse out."""
+    model = cfg.model()
+    R = cfg.r_bar * np.eye(2)
+    info = solve_pd(two_point_init(np.zeros(2), np.zeros(2), cfg.T, R).cov, np.eye(4))
+    ref = np.empty(cfg.updates)
+    for k in range(cfg.updates):
+        info = pcrlb_recursion(info, model, cfg.r_bar)
+        ref[k] = np.trace(solve_pd(info, np.eye(4)))
+    return ref
 
 
 class TestScenarioConfig:
@@ -91,6 +104,15 @@ class TestScenarioConfig:
             dict(tau=INF),
             dict(epsilon=INF),
             dict(clutter_per_gate=INF),
+            dict(seed=-1),
+            dict(seed=2**64),
+            dict(init_from_regime="false"),
+            dict(fixed_iteration_mode="no"),
+            dict(trials=True),
+            dict(k_star=True),
+            dict(seed=True),
+            dict(workers=True),
+            dict(max_iterations=True),
         ]:
             with pytest.raises(ValueError):
                 ScenarioConfig(**bad)
@@ -128,6 +150,10 @@ class TestScenarioConfig:
         lambda: GaussianNoise(INF, np.eye(2)),
         lambda: GaussianUniformNoise(INF, np.eye(2), 0.1, 1.0),
         lambda: GaussianUniformNoise(1.0, np.eye(2), 0.1, INF),
+        lambda: NvmfConfig(max_iterations=True),
+        lambda: NvmfConfig(fixed_iteration_mode="no"),
+        lambda: RngStream(2**64),
+        lambda: RngStream(0, 2**64),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):
@@ -224,26 +250,18 @@ class TestRunTrial:
             assert np.array_equal(a.nees[f], b.nees[f])
 
     def test_kf_trace_matches_information_recursion(self):
-        # The information recursion is an independent route to the matched
-        # filter's covariance: inverse in, predict, add H' R^-1 H, inverse out.
         for q in (0.0, 1e-6, 1.0):
             cfg = small_config(q=q, updates=40)
-            model = cfg.model()
-            R = cfg.r_bar * np.eye(2)
-            info = solve_pd(two_point_init(np.zeros(2), np.zeros(2), cfg.T, R).cov, np.eye(4))
-            ref = np.empty(cfg.updates)
-            for k in range(cfg.updates):
-                info = pcrlb_recursion(info, model, cfg.r_bar)
-                ref[k] = np.trace(solve_pd(info, np.eye(4)))
-            trace = _kf_reference_trace(cfg)
-            assert np.all(np.abs(trace - ref) <= 1e-12 * ref)
+            ref = information_trace(cfg)
+            trials = run_trials(cfg, range(2))
+            assert not trials.failed["kf"].any()
+            assert np.all(np.abs(trials.kf_cov_trace - ref) <= 1e-12 * ref)
 
     def test_kf_trace_is_the_runs_own_kf_covariance(self, monkeypatch):
         # The NRMSE normaliser is the trace of every KF row's covariance in
-        # the run itself, bit for bit, whatever the row's measurements. The
-        # KF rows are the first trials-many rows of the one Kalman step.
+        # the run, bit for bit, whatever the row's measurements. The KF rows
+        # are the first trials-many rows of the one Kalman step.
         cfg = small_config(trials=4, updates=40, noise="t")
-        ref = _kf_reference_trace(cfg)
         traces = []
 
         def recording(mean, cov, *args):
@@ -257,7 +275,7 @@ class TestRunTrial:
         assert not trials.failed["kf"].any()
         assert len(traces) == cfg.updates
         for k, row_traces in enumerate(traces):
-            assert np.array_equal(row_traces, np.full(4, ref[k]))
+            assert np.array_equal(row_traces, np.full(4, trials.kf_cov_trace[k]))
 
     def test_noiseless_limit_tracks_exactly(self):
         # squared error scales with the vanishing measurement variance; the
@@ -310,6 +328,31 @@ class TestFailureContract:
         summary, _ = run_monte_carlo(cfg)
         assert summary.lost_tracks["pdaf"] >= 1
 
+    def test_chunk_with_every_kf_row_failed_keeps_the_trace(self, monkeypatch):
+        # Fail every KF row of the second chunk at update k = 5: that chunk's
+        # trace is NaN from there on, and the merged trace is the clean one.
+        cfg = small_config(trials=8)
+        clean = run_trials(cfg, range(8))
+        first = run_trials(cfg, range(4))
+        calls = []
+
+        def failing(mean, cov, *args):
+            out = kalman_step(mean, cov, *args)
+            calls.append(len(mean))
+            if len(calls) == 5:
+                out[2][:4] = 1   # the 4 KF rows come first
+            return out
+
+        monkeypatch.setattr(harness, "kalman_step", failing)
+        second = run_trials(cfg, range(4, 8))
+        assert calls[0] == 12 and set(calls[5:]) == {8}
+        assert second.failed["kf"].all()
+        assert np.array_equal(second.kf_cov_trace[:4], clean.kf_cov_trace[:4])
+        assert np.all(np.isnan(second.kf_cov_trace[4:]))
+        for parts in ([first, second], [second, first]):
+            merged = Trials.concat(parts).kf_cov_trace
+            assert merged.tobytes() == clean.kf_cov_trace.tobytes()
+
 
 def assert_same_trials(got: Trials, ref: Trials):
     assert got.trial_ids.tolist() == ref.trial_ids.tolist()
@@ -318,6 +361,7 @@ def assert_same_trials(got: Trials, ref: Trials):
         assert got.squared_error[f].tobytes() == ref.squared_error[f].tobytes()
         assert got.nees[f].tobytes() == ref.nees[f].tobytes()
         assert got.failed[f].tolist() == ref.failed[f].tolist()
+    assert got.kf_cov_trace.tobytes() == ref.kf_cov_trace.tobytes()
 
 
 class TestStackedLoop:
@@ -385,7 +429,7 @@ class TestEmitCsv:
                              kf_cov_trace=np.empty(0))
         empty = Trials(np.empty(0, dtype=np.int64), {"kf": np.empty((0, 0))},
                        {"kf": np.empty((0, 0))}, {"kf": np.empty(0, dtype=bool)},
-                       {"kf": np.empty(0, dtype=bool)})
+                       np.empty(0), {"kf": np.empty(0, dtype=bool)})
         paths = emit_csv(empty, summary, tmp_path)
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert lines == ["k,kf_nrmse,kf_anees,interval_low,interval_high"]
@@ -417,7 +461,7 @@ class TestEmitCsv:
                 all_div.add(int(trial))
         kept = [t for t in ses if t not in all_div]
         mse = np.mean([ses[t] for t in kept])
-        trace = _kf_reference_trace(cfg)[k_query - 1]
+        trace = information_trace(cfg)[k_query - 1]
         expected = np.sqrt(mse / trace)
         summary_rows = (tmp_path / "summary.csv").read_text().strip().splitlines()
         header = summary_rows[0].split(",")

@@ -42,12 +42,12 @@ class TestKfUpdate:
             _, d_inf = kf_information_update(prior, z, H, R)
             scale = np.abs(d_cov.gain).max()
             assert np.abs(d_cov.gain - d_inf.gain).max() < 1e-10 * max(scale, 1.0)
-            # S^-1 v and log det S, in both forms
+            # S^-1 v and the eigenvalues of S, in both forms
             S = H @ P @ H.T + R
             for d in (d_cov, d_inf):
                 assert np.allclose(d.solved_innovation, np.linalg.solve(S, d.innovation),
                                    rtol=1e-10, atol=1e-12)
-                assert abs(d.innovation_log_det - np.linalg.slogdet(S)[1]) < 1e-10
+                assert abs(np.log(np.prod(d.innovation_eigvals)) - np.linalg.slogdet(S)[1]) < 1e-10
 
     def test_posterior_not_larger(self):
         rng = np.random.default_rng(6)
