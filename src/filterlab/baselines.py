@@ -15,7 +15,6 @@ from .statespace import (
     GaussianBelief,
     identity,
     mark_non_finite,
-    rowdot,
     symmetrize,
     update_one,
 )
@@ -127,7 +126,7 @@ def _pdaf_reweight(mean, cov, kf_cov, status, d, gv, config: PdafConfig):
     over the same prior rows. Marks non-finite posteriors in status in
     place. Returns (mean, cov, status, gated)."""
     m = d.innovation.shape[-1]
-    d2 = rowdot(d.innovation, d.solved_innovation)
+    d2 = np.vecdot(d.innovation, d.solved_innovation)
     gated = d2 > config.gate**2
 
     # NaN on a row whose S is not positive definite; kalman_step failed it.

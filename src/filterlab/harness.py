@@ -39,15 +39,15 @@ from .kalman import UpdateDiagnostics, innovation_terms, kalman_step, kf_update,
 from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
-from .specfun import RngStream, sample_mvn
+from .specfun import RngStream, is_integer, sample_mvn
 from .statespace import (
+    Failure,
     LinearModel,
     cv_process_noise,
     cv_transition,
-    matvec,
+    lapack,
     predict,
     predict_batch,
-    rowdot,
     rowwise,
     two_point_init,
 )
@@ -102,8 +102,7 @@ class ScenarioConfig:
         if not self.filters:
             raise ValueError("at least one filter must be selected")
         for name in ("trials", "updates", "k_star", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if not isinstance(self.init_from_regime, (bool, np.bool_)):
             raise ValueError("init_from_regime must be a bool")
@@ -241,25 +240,32 @@ def _truth_draws(config: ScenarioConfig, rng: RngStream):
 def _propagate(config: ScenarioConfig, process_noise: np.ndarray) -> np.ndarray:
     """The truth recurrence x_k = F x_{k-1} + w_k from x0, for process noise
     (K, n) of one trial or (K, N, n) of a stack: truth (K + 1, n) or
-    (K + 1, N, n), one stacked matvec per update."""
+    (K + 1, N, n), one stacked np.matvec per update."""
     F = cv_transition(config.T)
     truth = np.empty((process_noise.shape[0] + 1,) + process_noise.shape[1:])
     truth[0] = config.x0
     for k in range(1, truth.shape[0]):
-        truth[k] = matvec(F, truth[k - 1]) + process_noise[k - 1]
+        truth[k] = np.matvec(F, truth[k - 1]) + process_noise[k - 1]
     return truth
 
 
-def _nees(err: np.ndarray, cov: np.ndarray):
-    """Normalized estimation error squared per row, and the rows whose
-    covariance could not be solved."""
-    solved, bad = rowwise(np.linalg.solve, cov, err[..., None])
-    return rowdot(err, solved[..., 0]), bad
+def _nees(err: np.ndarray, cov: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Normalized estimation error squared per row; a row whose covariance
+    cannot be solved gets ILL_CONDITIONED in status (see mark_failed)."""
+    solved = rowwise(status, Failure.ILL_CONDITIONED, lapack.solve, cov, err[..., None])
+    return np.vecdot(err, solved[..., 0])
 
 
 # The filters' order in run_trials' stack: the Kalman family, which shares
 # one Kalman step, then NVMF.
 STACK_ORDER = ("kf", "pdaf", "kfor", "nvmf")
+
+
+def _filter_rows(filter_idx: np.ndarray) -> dict:
+    """Each filter in STACK_ORDER mapped to its slice of a stack sorted by
+    filter, filter_idx giving each row's filter."""
+    bounds = np.searchsorted(filter_idx, np.arange(len(STACK_ORDER) + 1)).tolist()
+    return dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
 
 
 def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: KforConfig,
@@ -323,7 +329,7 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
         init = two_point_init(z_0, z_minus1, config.T, R)
         init_mean[j], init_cov[j] = init.mean, init.cov
     truth = _propagate(config, process_noise)
-    measurements = matvec(model.H, truth[1:]) + noise
+    measurements = np.matvec(model.H, truth[1:]) + noise
 
     # The selected filters plus the reference filter, which always runs,
     # since its squared-error envelope defines track loss for every filter.
@@ -340,23 +346,23 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     failed = np.zeros((len(STACK_ORDER), N), dtype=bool)
     kf_cov_trace = np.full(K, np.nan)
 
+    rows = _filter_rows(filter_idx)
     with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
         for k in range(K):
             if not filter_idx.size:
                 break
-            bounds = np.searchsorted(filter_idx, np.arange(len(STACK_ORDER) + 1)).tolist()
-            rows = dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
             mean, cov = predict_batch(mean, cov, model)
             mean, cov, status = _update_stack(mean, cov, measurements[k, trial_idx], rows,
                                               *kernel_args)
             err = mean - truth[k + 1, trial_idx]
-            se = rowdot(err, err)
-            ne, singular = _nees(err, cov)
-            ok = (status == 0) & ~singular & np.isfinite(se) & np.isfinite(ne)
+            se = np.vecdot(err, err)
+            ne = _nees(err, cov, status)
+            ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
             if not ok.all():
                 failed[filter_idx[~ok], trial_idx[~ok]] = True
                 filter_idx, trial_idx, mean, cov, se, ne = (
                     a[ok] for a in (filter_idx, trial_idx, mean, cov, se, ne))
+                rows = _filter_rows(filter_idx)
             squared_error[filter_idx, trial_idx, k] = se
             nees[filter_idx, trial_idx, k] = ne
             if filter_idx.size and filter_idx[0] == 0:   # KF rows come first

@@ -13,9 +13,9 @@ from .statespace import (
     GaussianBelief,
     LinearModel,
     identity,
+    lapack,
     mark_failed,
     mark_non_finite,
-    matvec,
     rowwise,
     solve_pd,
     symmetrize,
@@ -57,7 +57,7 @@ def innovation_terms(mean, cov, z, H):
     beliefs: the part of kalman_step's input that does not depend on R."""
     H = np.asarray(H, dtype=float)
     hp = H @ cov
-    return H, z - matvec(H, mean), hp, hp @ H.T
+    return H, z - np.matvec(H, mean), hp, hp @ H.T
 
 
 def kalman_step(mean, cov, R, H, innovation, hp, hph):
@@ -66,14 +66,13 @@ def kalman_step(mean, cov, R, H, innovation, hp, hph):
     the correction the posterior mean adds, for pdaf_batch to reweight."""
     status = np.zeros(mean.shape[0], dtype=np.int8)
     S = symmetrize(hph + np.asarray(R, dtype=float))
-    w, bad = rowwise(np.linalg.eigvalsh, S)
-    mark_failed(status, bad, Failure.NON_FINITE)
+    w = rowwise(status, Failure.NON_FINITE, lapack.eigvalsh_lo, S)
     mark_failed(status, ~(w[:, 0] > 0.0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                 Failure.ILL_CONDITIONED)
-    solved, bad = rowwise(np.linalg.solve, S, np.concatenate([hp, innovation[..., None]], -1))
-    mark_failed(status, bad, Failure.ILL_CONDITIONED)
+    solved = rowwise(status, Failure.ILL_CONDITIONED, lapack.solve, S,
+                     np.concatenate([hp, innovation[..., None]], -1))
     gain = solved[..., :-1].swapaxes(-1, -2)
-    correction = matvec(gain, innovation)
+    correction = np.matvec(gain, innovation)
     mean = mean + correction
     cov = symmetrize((identity(cov.shape[-1]) - gain @ H) @ cov)
     mark_non_finite(status, mean, cov)

@@ -20,7 +20,7 @@ from .specfun import (
     sample_t_mixture,
 )
 from .nvmf import InverseGammaMixing
-from .statespace import checked_covariance, matvec
+from .statespace import checked_covariance
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _gaussian_uniform(regime: GaussianUniformNoise, rng: RngStream, n: int) -> n
         else:
             out[k] = rng.standard_normal(m)
             gaussian[k] = True
-    out[gaussian] = matvec(mvn_factor(regime.r_bar * regime.Rbar), out[gaussian])
+    out[gaussian] = np.matvec(mvn_factor(regime.r_bar * regime.Rbar), out[gaussian])
     return out
 
 

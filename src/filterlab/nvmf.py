@@ -30,17 +30,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, CovarianceCorrectionError
-from .specfun import RngStream, inv_reg_lower_inc_gamma, log_gamma, sample_inverse_gamma
+from .specfun import (
+    RngStream,
+    inv_reg_lower_inc_gamma,
+    is_integer,
+    log_gamma,
+    sample_inverse_gamma,
+)
 from .statespace import (
     Failure,
     GaussianBelief,
     LinearModel,
     cholesky_pd,
     identity,
+    lapack,
     mark_failed,
     mark_non_finite,
-    matvec,
-    rowdot,
     rowwise,
     symmetrize,
     update_one,
@@ -78,8 +83,7 @@ class NvmfConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        count = self.max_iterations
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         if not isinstance(self.fixed_iteration_mode, (bool, np.bool_)):
             raise ValueError("fixed_iteration_mode must be a bool")
@@ -121,10 +125,10 @@ class NvmfDiagnostics:
 
 def zeta(x, z, H, Rbar):
     """Half squared Mahalanobis distance of the residual under the shape matrix."""
-    resid = np.asarray(z, dtype=float) - matvec(np.asarray(H, dtype=float),
-                                                np.asarray(x, dtype=float))
-    white = matvec(whitener(Rbar), resid)
-    return 0.5 * rowdot(white, white)
+    resid = np.asarray(z, dtype=float) - np.matvec(np.asarray(H, dtype=float),
+                                                   np.asarray(x, dtype=float))
+    white = np.matvec(whitener(Rbar), resid)
+    return 0.5 * np.vecdot(white, white)
 
 
 def psi(zeta_val, mixing: InverseGammaMixing, M: int):
@@ -163,8 +167,8 @@ def u_vector(x_hat, z, H, Rbar, phi_val):
         raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
     H = np.asarray(H, dtype=float)
     c_inv = whitener(Rbar)
-    resid = matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
-    return matvec((c_inv @ H).T, matvec(c_inv, resid)) / phi_val[..., None]
+    resid = np.matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
+    return np.matvec((c_inv @ H).T, np.matvec(c_inv, resid)) / phi_val[..., None]
 
 
 def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -182,8 +186,8 @@ def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _correction_denominator(P_inf, u):
-    pu = matvec(P_inf, u)
-    return pu, 1.0 - rowdot(u, pu)
+    pu = np.matvec(P_inf, u)
+    return pu, 1.0 - np.vecdot(u, pu)
 
 
 def _corrected(P_inf, pu, denom):
@@ -220,23 +224,20 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     m = H.shape[0]
     status = np.zeros(N, dtype=np.int8)
 
-    p_chol, bad = rowwise(np.linalg.cholesky, cov)
-    mark_failed(status, bad, Failure.NOT_POSITIVE_DEFINITE)
-    p_chol_inv, bad = rowwise(np.linalg.inv, p_chol)
-    mark_failed(status, bad, Failure.NON_FINITE)
+    p_chol = rowwise(status, Failure.NOT_POSITIVE_DEFINITE, lapack.cholesky_lo, cov)
+    p_chol_inv = rowwise(status, Failure.NON_FINITE, lapack.inv, p_chol)
     mark_non_finite(status, z)
     whp = wh @ cov
-    (lam, U), bad = rowwise(np.linalg.eigh, whp @ wh.T)
-    mark_failed(status, bad, Failure.NON_FINITE)
+    lam, U = rowwise(status, Failure.NON_FINITE, lapack.eigh_lo, whp @ wh.T)
     basis = whp.swapaxes(-1, -2) @ U
-    nu = matvec(U.swapaxes(-1, -2), matvec(c_inv, z - matvec(H, mean)))
+    nu = np.matvec(U.swapaxes(-1, -2), np.matvec(c_inv, z - np.matvec(H, mean)))
     # Every lam_i + psi is positive exactly when the smallest is, and a sum
     # of two doubles is positive exactly when psi > -lam_min; min propagates
     # a NaN eigenvalue, which no shift makes positive.
     psi_floor = -lam.min(axis=1)
 
     shape = m / 2.0 + mixing.alpha
-    zeta_x = 0.5 * rowdot(nu, nu)
+    zeta_x = 0.5 * np.vecdot(nu, nu)
     trace = np.empty((N, config.max_iterations + 1))
     log_post = -shape * np.log1p(zeta_x / mixing.beta)
     trace[:, 0] = log_post
@@ -248,15 +249,16 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
         shifted = lam + psi_col
         w = nu / shifted
         psi_w = psi_col * w
-        zeta_x = 0.5 * rowdot(psi_w, psi_w)
+        zeta_x = 0.5 * np.vecdot(psi_w, psi_w)
         prev = log_post
-        log_post = -0.5 * rowdot(lam * w, w) - shape * np.log1p(zeta_x / mixing.beta)
+        log_post = -0.5 * np.vecdot(lam * w, w) - shape * np.log1p(zeta_x / mixing.beta)
         delta = log_post - prev
         trace[:, it] = log_post
         iterations = iterations + active
 
-        failed = active & ~((psi_x > psi_floor) & (delta >= -_MONOTONICITY_TOL))
-        if np.count_nonzero(failed):
+        ok = (psi_x > psi_floor) & (delta >= -_MONOTONICITY_TOL)
+        if np.count_nonzero(ok) < N:   # a row failed a check; it fails if active
+            failed = active & ~ok
             mark_failed(status, failed & ~(psi_x > psi_floor), Failure.NOT_POSITIVE_DEFINITE)
             mark_failed(status, failed & ~np.isfinite(log_post), Failure.NON_FINITE)
             mark_failed(status, failed, Failure.EM_NOT_MONOTONE)
@@ -272,10 +274,10 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     # Each row's trace ends at its last iteration; its last pass ran at its
     # final psi, so w, psi_w, zeta_x and shifted = lam + psi are final.
     trace[np.arange(config.max_iterations + 1) > iterations[:, None]] = np.nan
-    x_out = mean + matvec(basis, w)
+    x_out = mean + np.matvec(basis, w)
     p_inf = symmetrize(cov - (basis / shifted[:, None, :]) @ basis.swapaxes(-1, -2))
     phi_val = phi(zeta_x, mixing, m)
-    u = -matvec(wh.T, matvec(U, psi_w)) / phi_val[:, None]
+    u = -np.matvec(wh.T, np.matvec(U, psi_w)) / phi_val[:, None]
     pu, denom = _correction_denominator(p_inf, u)
     fallback = denom <= DENOMINATOR_FLOOR
     # A zero pu over a unit denominator returns p_inf itself for fallback rows.
@@ -347,7 +349,7 @@ def _expected_inverse_psi(alpha: float, beta: float, M: int, n_samples: int,
     # whatever Rbar is.
     r = sample_inverse_gamma(alpha, beta, rng, size=n_samples)
     y = rng.standard_normal((n_samples, M))
-    zeta_s = 0.5 * r * rowdot(y, y)
+    zeta_s = 0.5 * r * np.vecdot(y, y)
     return float(np.mean((M / 2.0 + alpha) / (zeta_s + beta)))
 
 
@@ -373,9 +375,9 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, M: int,
         raise ValueError("r_out and r_regular must be positive")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be at least 10000")
-    if not isinstance(M, (int, np.integer)) or M < 1:
+    if not is_integer(n_samples) or n_samples < 10_000:
+        raise ValueError(f"n_samples must be an integer of at least 10000, got {n_samples!r}")
+    if not is_integer(M) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
     if alpha_grid is None:
         alpha_grid = np.arange(0.5, 5.0001, 0.01)

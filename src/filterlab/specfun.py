@@ -14,12 +14,18 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .statespace import indefinite, matvec
+from .statespace import indefinite
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_SERIES_ITER = 500
 _MAX_ROOT_ITER = 200
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer and not a bool: the rule
+    for every count, seed and stream id."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def log_gamma(a: float) -> float:
@@ -149,6 +155,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        if not (is_integer(seed) and is_integer(stream_id)):
+            raise ValueError("seed and stream_id must be integers")
         # Philox's key holds each as a 64-bit unsigned integer.
         if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
             raise ValueError("seed and stream_id must lie in [0, 2**64)")
@@ -201,9 +209,10 @@ def _gamma_mt(shape: float, rng: RngStream, n: int) -> np.ndarray:
         ok = v > 0.0
         x2 = x * x
         accept = ok & (u < 1.0 - 0.0331 * x2 * x2)
-        rest = ok & ~accept
-        if np.any(rest):
-            accept |= rest & _mt_log_accept(d, x2, u, np.where(ok, v, 1.0))
+        # The squeeze leaves a few percent undecided; only they take logs.
+        rest = np.flatnonzero(ok & ~accept)
+        if rest.size:
+            accept[rest] = _mt_log_accept(d, x2[rest], u[rest], v[rest])
         out[todo[accept]] = d * v[accept]
         todo = todo[~accept]
     return out
@@ -284,14 +293,14 @@ def sample_mvn(mean, cov, rng: RngStream, size=None):
 
     A block of size draws equals size successive single draws bit for bit
     and leaves rng where they would: the covariance is factored once, the
-    normals are drawn in one call, and a stacked matvec gives each row the
+    normals are drawn in one call, and a stacked np.matvec gives each row the
     bits of its own factor @ n.
     """
     mean = np.asarray(mean, dtype=float)
     factor = mvn_factor(cov)
     if size is None:
         return mean + factor @ rng.standard_normal(mean.shape[0])
-    return mean + matvec(factor, rng.standard_normal((int(size), mean.shape[0])))
+    return mean + np.matvec(factor, rng.standard_normal((int(size), mean.shape[0])))
 
 
 def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: RngStream,
@@ -327,4 +336,4 @@ def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: R
         raise OverflowError(f"an inverse-gamma scale overflowed: its gamma draw underflowed "
                             f"to 0 (alpha={alpha}, beta={beta})")
     r = 1.0 / g
-    return matvec(mvn_factor(r[:, None, None] * shape_matrix), normals)
+    return np.matvec(mvn_factor(r[:, None, None] * shape_matrix), normals)

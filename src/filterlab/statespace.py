@@ -2,11 +2,12 @@
 
 Also the conventions every filter kernel shares. A kernel advances a stack
 of N independent beliefs at once: means (N, n), covariances (N, n, n),
-measurements (N, m). Every contraction is a stacked matmul or a stacked
-numpy.linalg call, which work slice by slice, so a row's result does not
-depend on N or on the other rows. A kernel never raises for a bad row; it
-returns a per-row status, 0 for success or a Failure code, and the row's
-values are then meaningless.
+measurements (N, m). Every contraction is a stacked matmul, np.matvec or
+np.vecdot, or one of the LAPACK gufuncs behind numpy.linalg called through
+rowwise; all of them work slice by slice, so a row's result does not depend
+on N or on the other rows. A kernel never raises for a bad row; it returns
+a per-row status, 0 for success or a Failure code, and the row's values are
+then meaningless.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# The gufuncs numpy.linalg's cholesky, inv, eigh, eigvalsh and solve call
+# (cholesky_lo, inv, eigh_lo, eigvalsh_lo, solve); rowwise calls them
+# without numpy.linalg's per-call argument checks.
+from numpy.linalg import _umath_linalg as lapack
 
 from .errors import NumericalError
 
@@ -32,16 +37,6 @@ class Failure(enum.IntEnum):
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for one vector x (n,) or for each row of a stack x (N, n)."""
-    return (A @ x[..., None])[..., 0]
-
-
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a' b for one pair of vectors or for each pair of rows of two stacks."""
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def mark_failed(status: np.ndarray, bad: np.ndarray, cause: Failure) -> None:
@@ -97,29 +92,43 @@ def solve_pd(a, b) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
-def rowwise(fn, a: np.ndarray, *args):
-    """fn(a, *args) for a numpy.linalg function over a stack of matrices a,
-    plus a mask of the rows on which it fails.
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("LAPACK failed on a row")
 
-    LAPACK failing on one row makes numpy raise for the whole stack, so the
-    rows are then tried one at a time, and each failing row is replaced by
-    the identity (its other arguments by zeros) before the stacked call is
-    repeated. Slices are computed independently, so the good rows' results
-    are the same either way.
+
+# numpy.linalg's error contract: LAPACK marks a failed slice by raising the
+# invalid flag, which the callback turns into LinAlgError.
+@np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _lapack_call(gufunc, *args):
+    return gufunc(*args)
+
+
+def rowwise(status: np.ndarray, cause: Failure, gufunc, a: np.ndarray, *args):
+    """gufunc(a, *args) for a lapack gufunc over a float64 stack of matrices
+    a, numpy.linalg's result bit for bit; the rows on which LAPACK fails
+    get cause in status (see mark_failed).
+
+    LAPACK failing on one row makes the call raise for the whole stack, so
+    the rows are then tried one at a time, and each failing row is replaced
+    by the identity (its other arguments by zeros) before the stacked call
+    is repeated. Slices are computed independently, so the good rows'
+    results are the same either way.
     """
-    bad = np.zeros(a.shape[0], dtype=bool)
     try:
-        return fn(a, *args), bad
+        return _lapack_call(gufunc, a, *args)
     except np.linalg.LinAlgError:
         pass
+    bad = np.zeros(a.shape[0], dtype=bool)
     for i in range(a.shape[0]):
         try:
-            fn(a[i:i + 1], *(b[i:i + 1] for b in args))
+            _lapack_call(gufunc, a[i:i + 1], *(b[i:i + 1] for b in args))
         except np.linalg.LinAlgError:
             bad[i] = True
+    mark_failed(status, bad, cause)
     a = np.where(bad[:, None, None], np.eye(a.shape[-1]), a)
     args = [np.where(bad.reshape((-1,) + (1,) * (b.ndim - 1)), 0.0, b) for b in args]
-    return fn(a, *args), bad
+    return _lapack_call(gufunc, a, *args)
 
 
 # A matrix whose smallest eigenvalue is below -_PSD_RTOL max(1, |largest|)
@@ -233,7 +242,7 @@ def cv_process_noise(T: float, q: float) -> np.ndarray:
 def predict_batch(mean: np.ndarray, cov: np.ndarray, model: LinearModel):
     """One prediction step, mean F x and covariance F P F' + Q, for a stack
     of beliefs or for a single one (no leading axis)."""
-    mean = matvec(model.F, mean)
+    mean = np.matvec(model.F, mean)
     cov = symmetrize(model.F @ cov @ model.F.T + model.Q)
     return mean, cov
 

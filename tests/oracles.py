@@ -16,9 +16,7 @@ from filterlab.nvmf import nvmf_batch
 from filterlab.specfun import RngStream
 from filterlab.statespace import (
     GaussianBelief,
-    matvec,
     predict_batch,
-    rowdot,
     solve_pd,
     symmetrize,
     two_point_init,
@@ -78,7 +76,7 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
     for j, trial_id in enumerate(ids.tolist()):
         rng = RngStream(config.seed, trial_id)
         truth[j], z_minus1, z_0 = simulate_truth(config, rng)
-        measurements[:, j] = matvec(H, truth[j, 1:]) + sample_noise(regime, rng, size=K)
+        measurements[:, j] = np.matvec(H, truth[j, 1:]) + sample_noise(regime, rng, size=K)
         init = two_point_init(z_0, z_minus1, config.T, R)
         init_mean[j], init_cov[j] = init.mean, init.cov
 
@@ -105,9 +103,9 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
                 mean, cov = predict_batch(mean, cov, model)
                 mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
                 err = mean - truth[rows, k + 1]
-                se = rowdot(err, err)
-                ne, singular = _nees(err, cov)
-                ok = (status == 0) & ~singular & np.isfinite(se) & np.isfinite(ne)
+                se = np.vecdot(err, err)
+                ne = _nees(err, cov, status)
+                ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
                 if not ok.all():
                     failed[f][rows[~ok]] = True
                     rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))

@@ -11,7 +11,7 @@ from filterlab.baselines import KforConfig, PdafConfig, _pdaf_reweight
 from filterlab.cli import main as cli_main
 from filterlab.kalman import kalman_step, pcrlb_recursion
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
-from filterlab.nvmf import InverseGammaMixing, NvmfConfig
+from filterlab.nvmf import InverseGammaMixing, NvmfConfig, calibrate_mixing
 from filterlab.harness import (
     FILTER_ORDER,
     ScenarioConfig,
@@ -154,6 +154,14 @@ class TestScenarioConfig:
         lambda: NvmfConfig(fixed_iteration_mode="no"),
         lambda: RngStream(2**64),
         lambda: RngStream(0, 2**64),
+        lambda: RngStream(1.5),
+        lambda: RngStream(True),
+        lambda: RngStream(np.float64(3.0)),
+        lambda: RngStream(0, 1.5),
+        lambda: RngStream(0, True),
+        lambda: calibrate_mixing(100.0**2, 0.01, 100.0, 2, n_samples=150_000.0),
+        lambda: calibrate_mixing(100.0**2, 0.01, 100.0, True, n_samples=10_000,
+                                 alpha_grid=[1.0]),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):

@@ -10,8 +10,10 @@ from filterlab.metrics import consistency_interval, detect_divergence
 def anees(errors, covs) -> float:
     """ANEES as the harness aggregates it: the mean over trials of each
     trial's NEES from the harness's stacked solve."""
-    ne, singular = _nees(np.asarray(errors, dtype=float), np.asarray(covs, dtype=float))
-    assert not singular.any()
+    errors = np.asarray(errors, dtype=float)
+    status = np.zeros(len(errors), dtype=np.int8)
+    ne = _nees(errors, np.asarray(covs, dtype=float), status)
+    assert not status.any()
     return float(ne.mean())
 
 

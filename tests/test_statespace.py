@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,14 @@ from filterlab.kalman import pcrlb_recursion
 from filterlab.nvmf import InverseGammaMixing, log_posterior, nvm_t_log_density, zeta
 from filterlab.specfun import RngStream, sample_mvn
 from filterlab.statespace import (
+    Failure,
     GaussianBelief,
     LinearModel,
     cv_process_noise,
     cv_transition,
+    lapack,
     predict,
+    rowwise,
     solve_pd,
     two_point_init,
     whitener,
@@ -268,3 +272,127 @@ SOLVE_SITES = {
 def test_solve_sites_reject_bad_matrices(site, matrix, error):
     with pytest.raises(error):
         SOLVE_SITES[site](matrix)
+
+
+# The stacked kernels call numpy's compiled loops directly: the LAPACK
+# gufuncs behind numpy.linalg through rowwise, and np.matvec / np.vecdot
+# for the contractions. These tests pin the numpy behaviour that keeps
+# their results numpy.linalg's and matmul's bit for bit, so a numpy release
+# that changes it fails here rather than in a run's output.
+
+# gufunc -> (the numpy.linalg function it stands for, its extra arguments
+# for a stack of n x n matrices).
+LAPACK_PAIRS = {
+    "cholesky_lo": (np.linalg.cholesky, lambda rng, N, n: ()),
+    "inv": (np.linalg.inv, lambda rng, N, n: ()),
+    "eigh_lo": (np.linalg.eigh, lambda rng, N, n: ()),
+    "eigvalsh_lo": (np.linalg.eigvalsh, lambda rng, N, n: ()),
+    "solve": (np.linalg.solve, lambda rng, N, n: (rng.standard_normal((N, n, 3)),)),
+}
+
+
+def _spd_stack(rng, N, n=4):
+    A = rng.standard_normal((N, n, n)) * rng.lognormal(0.0, 2.0, (N, 1, 1))
+    return A @ A.swapaxes(-1, -2) + np.eye(n)
+
+
+def _same_bits(a, b):
+    a, b = (tuple(x) if isinstance(x, tuple) else (x,) for x in (a, b))
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(a, b))
+
+
+def _rowwise(name, a, *args):
+    status = np.zeros(a.shape[0], dtype=np.int8)
+    return rowwise(status, Failure.NON_FINITE, getattr(lapack, name), a, *args), status
+
+
+class TestLapackGufuncs:
+    @pytest.mark.parametrize("N", [1, 64])
+    @pytest.mark.parametrize("name", sorted(LAPACK_PAIRS))
+    def test_equal_numpy_linalg_bitwise(self, name, N):
+        rng = np.random.default_rng(40 + N)
+        reference, extra = LAPACK_PAIRS[name]
+        a = _spd_stack(rng, N)
+        args = extra(rng, N, 4)
+        out, status = _rowwise(name, a, *args)
+        assert not status.any()
+        assert _same_bits(out, tuple(reference(a, *args)) if name == "eigh_lo"
+                          else reference(a, *args))
+
+    @pytest.mark.parametrize("name", sorted(LAPACK_PAIRS))
+    def test_bad_rows_fail_as_numpy_linalg_does(self, name):
+        rng = np.random.default_rng(50)
+        reference, extra = LAPACK_PAIRS[name]
+        a = _spd_stack(rng, 8)
+        a[1] = 0.0                                # singular
+        a[4] = np.diag([1.0, -2.0, 3.0, 1.0])     # not positive definite
+        a[6, 2, 2] = np.nan                       # NaN entry
+        args = extra(rng, 8, 4)
+        expected_bad = []
+        for i in range(len(a)):
+            try:
+                with np.errstate(all="ignore"):
+                    reference(a[i:i + 1], *(b[i:i + 1] for b in args))
+                expected_bad.append(False)
+            except np.linalg.LinAlgError:
+                expected_bad.append(True)
+        # Outside any np.errstate, no floating-point warning may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, status = _rowwise(name, a, *args)
+        assert (status != 0).tolist() == expected_bad
+        # LAPACK's own contract: a singular matrix has no inverse or
+        # solve, and neither it nor an indefinite one a Cholesky factor.
+        must_fail = {"cholesky_lo": [1, 4], "inv": [1], "solve": [1]}.get(name, [])
+        assert all(expected_bad[i] for i in must_fail)
+        for i in np.flatnonzero(~np.array(expected_bad)):
+            with np.errstate(all="ignore"):
+                one = reference(a[i:i + 1], *(b[i:i + 1] for b in args))
+            rows = tuple(x[i:i + 1] for x in out) if name == "eigh_lo" else out[i:i + 1]
+            assert _same_bits(rows, tuple(one) if name == "eigh_lo" else one)
+
+
+def _scaled(rng, shape):
+    """Normal entries over many magnitudes, so any change in the order of
+    a sum shows in the last bits."""
+    return rng.standard_normal(shape) * rng.lognormal(0.0, 4.0, shape)
+
+
+def _matvec_cases(rng, N):
+    stacked = _scaled(rng, (N, 4, 4))
+    return {
+        "vector": (_scaled(rng, (4, 4)), _scaled(rng, 4)),
+        "shared": (_scaled(rng, (4, 4)), _scaled(rng, (N, 4))),
+        "shared wide": (_scaled(rng, (2, 4)), _scaled(rng, (N, 4))),
+        "shared transposed": (_scaled(rng, (2, 4)).T, _scaled(rng, (N, 2))),
+        "stacked": (stacked, _scaled(rng, (N, 4))),
+        "stacked wide": (_scaled(rng, (N, 2, 4)), _scaled(rng, (N, 4))),
+        "K over N": (_scaled(rng, (2, 4)), _scaled(rng, (3, N, 4))),
+        "swapaxes": (stacked.swapaxes(-1, -2), _scaled(rng, (N, 4))),
+        "sliced swapaxes": (_scaled(rng, (N, 2, 5))[..., :-1].swapaxes(-1, -2),
+                            _scaled(rng, (N, 2))),
+    }
+
+
+class TestMatvecVecdot:
+    @pytest.mark.parametrize("N", [1, 100_000])
+    def test_matvec_equals_matmul_bitwise(self, N):
+        rng = np.random.default_rng(60)
+        for label, (A, x) in _matvec_cases(rng, N).items():
+            assert _same_bits(np.matvec(A, x), (A @ x[..., None])[..., 0]), label
+
+    @pytest.mark.parametrize("N", [1, 100_000])
+    def test_vecdot_equals_matmul_bitwise(self, N):
+        rng = np.random.default_rng(61)
+        solved = _scaled(rng, (N, 2, 5))
+        cases = {
+            "vector": (_scaled(rng, 4), _scaled(rng, 4)),
+            "stack": (_scaled(rng, (N, 4)), _scaled(rng, (N, 4))),
+            "K over N": (_scaled(rng, (3, N, 2)), _scaled(rng, (3, N, 2))),
+            "column view": (_scaled(rng, (N, 2)), solved[..., -1]),
+            "swapaxes view": (solved.swapaxes(-1, -2)[:, 0], solved.swapaxes(-1, -2)[:, 1]),
+        }
+        for label, (a, b) in cases.items():
+            assert _same_bits(np.vecdot(a, b), (a[..., None, :] @ b[..., None])[..., 0, 0]), label
