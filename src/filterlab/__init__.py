@@ -18,14 +18,11 @@ from .nvmf import (
     NvmfDiagnostics,
     calibrate_mixing,
     covariance_correction,
-    log_posterior,
     nvm_t_log_density,
     nvmf_update,
     phi,
     posterior_r_params,
     psi,
-    u_vector,
-    zeta,
 )
 from .specfun import (
     RngStream,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -389,6 +388,10 @@ def run_monte_carlo(config: ScenarioConfig):
     # not depend on its chunk, so neither does the output.
     chunks = [c for c in np.array_split(np.arange(config.trials), config.workers) if c.size]
     if len(chunks) > 1:
+        # Imported here, so that importing the library and a serial run load
+        # no process-pool modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             trials = Trials.concat(list(pool.map(run_trials, [config] * len(chunks), chunks)))
     else:

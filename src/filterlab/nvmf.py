@@ -41,7 +41,6 @@ from .statespace import (
     Failure,
     GaussianBelief,
     LinearModel,
-    cholesky_pd,
     identity,
     lapack,
     mark_failed,
@@ -115,21 +114,12 @@ class NvmfDiagnostics:
         )
 
 
-# The closed forms below take one state, or a stack with a leading batch
-# axis (x (N, n), z (N, m), zeta_val (N,), P_inf (N, n, n), u (N, n)).
-# Each applies Rbar^-1 through the whitener C^-1, C = chol(Rbar), so that
-# r' Rbar^-1 s = (C^-1 r)' (C^-1 s). nvmf_batch whitens the same way, with
-# the model's own factors (LinearModel.whitened), and then evaluates zeta
-# and the log posterior in the whitened eigenbasis; zeta and log_posterior
-# keep the direct forms.
-
-def zeta(x, z, H, Rbar):
-    """Half squared Mahalanobis distance of the residual under the shape matrix."""
-    resid = np.asarray(z, dtype=float) - np.matvec(np.asarray(H, dtype=float),
-                                                   np.asarray(x, dtype=float))
-    white = np.matvec(whitener(Rbar), resid)
-    return 0.5 * np.vecdot(white, white)
-
+# The closed forms below take one value, or a stack with a leading batch
+# axis (zeta_val (N,), P_inf (N, n, n), u (N, n)). nvmf_batch evaluates
+# zeta, the log posterior and u in the whitened eigenbasis it factors once
+# per row, and runs psi, phi and the correction's two halves on its stacks.
+# The direct forms of zeta, the log posterior and u are the tests' reference
+# (tests/oracles.py).
 
 def psi(zeta_val, mixing: InverseGammaMixing, M: int):
     """Conditional noise-variance estimate 1 / E[1/r | x, z]."""
@@ -144,31 +134,6 @@ def phi(zeta_val, mixing: InverseGammaMixing, M: int):
 def posterior_r_params(zeta_val: float, mixing: InverseGammaMixing, M: int) -> InverseGammaMixing:
     """Conjugate posterior of the variance scale given the current residual."""
     return InverseGammaMixing(M / 2.0 + mixing.alpha, zeta_val + mixing.beta)
-
-
-def log_posterior(x, prior: GaussianBelief, z, H, Rbar, mixing: InverseGammaMixing) -> float:
-    """Log posterior of the state (up to x-independent constants):
-
-        -(1/2)(x - x_pred)' P_pred^-1 (x - x_pred)
-        - (M/2 + alpha) log(1 + zeta / beta)
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    dx = x - prior.mean
-    w = np.linalg.solve(cholesky_pd(prior.cov, dx), dx)
-    return float(-0.5 * (w @ w)
-                 - (len(z) / 2.0 + mixing.alpha) * math.log1p(zeta(x, z, H, Rbar) / mixing.beta))
-
-
-def u_vector(x_hat, z, H, Rbar, phi_val):
-    """Scaled residual gradient H' (phi Rbar)^-1 (H x - z) used by the correction."""
-    phi_val = np.asarray(phi_val, dtype=float)
-    if not np.all(phi_val > 0.0):
-        raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
-    H = np.asarray(H, dtype=float)
-    c_inv = whitener(Rbar)
-    resid = np.matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
-    return np.matvec((c_inv @ H).T, np.matvec(c_inv, resid)) / phi_val[..., None]
 
 
 def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:

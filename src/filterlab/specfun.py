@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .statespace import indefinite
+from .statespace import indefinite, symmetrize
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -278,8 +278,7 @@ def mvn_factor(cov) -> np.ndarray:
     """The factor L, L L' = cov, through which sample_mvn draws, for one
     covariance (m, m) or for each of a stack (K, m, m). The stacked Cholesky
     factors slice by slice, so each slice gets the bits of its own call."""
-    cov = np.asarray(cov, dtype=float)
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    cov = symmetrize(np.asarray(cov, dtype=float))
     if cov.ndim == 2:
         return _psd_factor(cov)
     try:

@@ -220,10 +220,6 @@ class LinearModel:
         return c_inv, wh, wh.T @ wh
 
     @property
-    def state_dim(self) -> int:
-        return self.F.shape[0]
-
-    @property
     def meas_dim(self) -> int:
         return self.H.shape[0]
 

@@ -1,9 +1,13 @@
 """Reference code that the tests check the library against: the Kalman
 measurement update in information form, which solves through the posterior
 information matrix P^-1 + H' R^-1 H rather than through the innovation
-covariance the library's kalman_step uses; and the Monte Carlo loop with one
-public batched kernel per filter, which the harness's stacked loop must
-equal bit for bit."""
+covariance the library's kalman_step uses; the NVMF closed forms zeta, the
+log posterior and u written directly in the state and measurement, where
+nvmf_batch evaluates them in its whitened eigenbasis; and the Monte Carlo
+loop with one public batched kernel per filter, which the harness's stacked
+loop must equal bit for bit."""
+
+import math
 
 import numpy as np
 
@@ -12,14 +16,16 @@ from filterlab.errors import NumericalError
 from filterlab.harness import FILTER_ORDER, MEAS_DIM, STATE_DIM, Trials, _nees, simulate_truth
 from filterlab.kalman import COND_LIMIT, UpdateDiagnostics, kf_batch
 from filterlab.noise import sample_noise
-from filterlab.nvmf import nvmf_batch
+from filterlab.nvmf import InverseGammaMixing, nvmf_batch
 from filterlab.specfun import RngStream
 from filterlab.statespace import (
     GaussianBelief,
+    cholesky_pd,
     predict_batch,
     solve_pd,
     symmetrize,
     two_point_init,
+    whitener,
 )
 
 
@@ -56,6 +62,39 @@ def kf_information_update(prior: GaussianBelief, z, H, R):
     cov = symmetrize(solve_pd(info, np.eye(n)))
     diagnostics = UpdateDiagnostics(innovation, S, gain, solve_pd(S, innovation), w)
     return GaussianBelief(mean, cov), diagnostics
+
+
+def zeta(x, z, H, Rbar):
+    """Half squared Mahalanobis distance of the residual under the shape matrix."""
+    resid = np.asarray(z, dtype=float) - np.matvec(np.asarray(H, dtype=float),
+                                                   np.asarray(x, dtype=float))
+    white = np.matvec(whitener(Rbar), resid)
+    return 0.5 * np.vecdot(white, white)
+
+
+def log_posterior(x, prior: GaussianBelief, z, H, Rbar, mixing: InverseGammaMixing) -> float:
+    """Log posterior of the state (up to x-independent constants):
+
+        -(1/2)(x - x_pred)' P_pred^-1 (x - x_pred)
+        - (M/2 + alpha) log(1 + zeta / beta)
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    dx = x - prior.mean
+    w = np.linalg.solve(cholesky_pd(prior.cov, dx), dx)
+    return float(-0.5 * (w @ w)
+                 - (len(z) / 2.0 + mixing.alpha) * math.log1p(zeta(x, z, H, Rbar) / mixing.beta))
+
+
+def u_vector(x_hat, z, H, Rbar, phi_val):
+    """Scaled residual gradient H' (phi Rbar)^-1 (H x - z) used by the correction."""
+    phi_val = np.asarray(phi_val, dtype=float)
+    if not np.all(phi_val > 0.0):
+        raise ValueError(f"u_vector requires phi_val > 0, got {phi_val}")
+    H = np.asarray(H, dtype=float)
+    c_inv = whitener(Rbar)
+    resid = np.matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
+    return np.matvec((c_inv @ H).T, np.matvec(c_inv, resid)) / phi_val[..., None]
 
 
 def run_trials_per_filter(config, trial_ids) -> Trials:

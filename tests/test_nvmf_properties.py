@@ -2,7 +2,9 @@
 matrices, M = 1 and 3, near-singular predicted covariances and residuals up
 to 1e150 standard deviations. The oracle is the EM written out step by step:
 a Kalman update in information form with noise covariance psi(zeta(x)) Rbar,
-scored with the direct-form log_posterior."""
+scored with the direct-form log_posterior. The covariance's oracle is the
+paper's rank-one correction of that update's covariance at the final psi,
+with u taken directly at the posterior mean."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,15 +13,15 @@ from hypothesis import strategies as st
 from filterlab.nvmf import (
     InverseGammaMixing,
     NvmfConfig,
-    log_posterior,
+    covariance_correction,
     nvmf_batch,
     nvmf_update,
+    phi,
     psi,
-    zeta,
 )
 from filterlab.statespace import GaussianBelief, LinearModel, symmetrize
 
-from oracles import kf_information_update
+from oracles import kf_information_update, log_posterior, u_vector, zeta
 
 EPSILON = 1e-12
 CONFIG = NvmfConfig(epsilon=EPSILON, max_iterations=500)
@@ -93,3 +95,13 @@ def test_nvmf_batch_matches_oracle_em(problem):
         ref = oracle_em(prior, z[i], model.H, model.Rbar, mixing)
         rtol = 1e-8 + 100.0 * EPS * np.linalg.cond(cov[i])
         assert np.abs(post.mean - ref).max() <= rtol * np.abs(ref).max()
+
+        # The covariance corrects the Kalman covariance at the final psi by
+        # u at the posterior mean; a fallback row keeps the Kalman covariance.
+        p_inf = kf_information_update(prior, z[i], model.H, one.final_psi * model.Rbar)[0].cov
+        cov_ref = p_inf
+        if not one.correction_fallback:
+            phi_val = phi(zeta(post.mean, z[i], model.H, model.Rbar), mixing, len(z[i]))
+            cov_ref = covariance_correction(
+                p_inf, u_vector(post.mean, z[i], model.H, model.Rbar, phi_val))
+        assert np.abs(post.cov - cov_ref).max() <= rtol * np.abs(cov_ref).max()
