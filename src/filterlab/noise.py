@@ -14,6 +14,7 @@ import numpy as np
 # span reads 0 in a traced run.
 from .specfun import (
     RngStream,
+    draw_count,
     mvn_factor,
     sample_inverse_gamma,  # noqa: F401
     sample_mvn,
@@ -95,10 +96,10 @@ def sample_noise(regime: NoiseRegime, rng: RngStream, size=None) -> np.ndarray:
     Gaussian, m normals; Gaussian-uniform, the branch uniform, then m
     uniforms or m normals; t, the inverse-gamma scale's gamma draws (a
     normal and a uniform per try, then a uniform when alpha < 1), then m
-    normals. A block factors each covariance once (the t regime's in one
-    stacked call), so bulk draws cost far less per row than single calls.
+    normals. A block factors each covariance once (a t draw scales the one
+    factor of Rbar by its sqrt(r)), so bulk draws cost far less per row.
     """
-    n = 1 if size is None else int(size)
+    n = draw_count(size)
     if isinstance(regime, GaussianNoise):
         m = regime.Rbar.shape[0]
         draws = sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng, size=n)

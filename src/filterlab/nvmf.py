@@ -336,8 +336,8 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, M: int,
     Returns the chosen mixing and the absolute residual of the matching
     equation at that point.
     """
-    if not (r_out > 0.0 and r_regular > 0.0):
-        raise ValueError("r_out and r_regular must be positive")
+    if not (0.0 < r_out < math.inf and 0.0 < r_regular < math.inf):
+        raise ValueError("r_out and r_regular must be positive and finite")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if not is_integer(n_samples) or n_samples < 10_000:

@@ -28,6 +28,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def draw_count(size) -> int:
+    """The number of draws a sampler's size asks for: 1 for None, else size,
+    which must be a non-negative integer (see is_integer)."""
+    if size is not None and not (is_integer(size) and size >= 0):
+        raise ValueError(f"size must be None or a non-negative integer, got {size!r}")
+    return 1 if size is None else int(size)
+
+
 def log_gamma(a: float) -> float:
     """Natural log of the gamma function for a > 0."""
     if not a > 0.0:
@@ -240,11 +248,11 @@ def sample_gamma(shape: float, rate: float, rng: RngStream, size=None):
     Shapes below one use the standard boost: draw at shape + 1 and scale
     by a uniform power, which keeps the squeeze method applicable.
     """
-    if not shape > 0.0:
-        raise ValueError(f"sample_gamma requires shape > 0, got {shape}")
-    if not rate > 0.0:
-        raise ValueError(f"sample_gamma requires rate > 0, got {rate}")
-    n = 1 if size is None else int(size)
+    if not 0.0 < shape < math.inf:
+        raise ValueError(f"sample_gamma requires a finite shape > 0, got {shape}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"sample_gamma requires a finite rate > 0, got {rate}")
+    n = draw_count(size)
     if shape < 1.0:
         g = _gamma_mt(shape + 1.0, rng, n)
         g *= rng.uniform(size=n) ** (1.0 / shape)
@@ -260,12 +268,15 @@ def sample_inverse_gamma(alpha: float, beta: float, rng: RngStream, size=None):
     return 1.0 / g
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
+def mvn_factor(cov) -> np.ndarray:
+    """The factor L, L L' = cov, of one covariance (m, m), through which
+    sample_mvn and sample_t_mixture draw: its Cholesky factor, or for a
+    semidefinite cov (zero included), V sqrt(W) from its eigendecomposition.
+    Genuinely indefinite input raises LinAlgError."""
+    cov = symmetrize(np.asarray(cov, dtype=float))
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        # Semidefinite matrices (zero included) fall through to an
-        # eigendecomposition; genuinely indefinite input stays an error.
         w, v = np.linalg.eigh(cov)
         if indefinite(w):
             raise np.linalg.LinAlgError(
@@ -274,32 +285,17 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def mvn_factor(cov) -> np.ndarray:
-    """The factor L, L L' = cov, through which sample_mvn draws, for one
-    covariance (m, m) or for each of a stack (K, m, m). The stacked Cholesky
-    factors slice by slice, so each slice gets the bits of its own call."""
-    cov = symmetrize(np.asarray(cov, dtype=float))
-    if cov.ndim == 2:
-        return _psd_factor(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return np.stack([_psd_factor(c) for c in cov])
-
-
 def sample_mvn(mean, cov, rng: RngStream, size=None):
     """Draw from a multivariate normal with the given mean and covariance.
 
     A block of size draws equals size successive single draws bit for bit
     and leaves rng where they would: the covariance is factored once, the
-    normals are drawn in one call, and a stacked np.matvec gives each row the
-    bits of its own factor @ n.
+    normals are drawn in one call, and np.matvec works row by row.
     """
     mean = np.asarray(mean, dtype=float)
     factor = mvn_factor(cov)
-    if size is None:
-        return mean + factor @ rng.standard_normal(mean.shape[0])
-    return mean + np.matvec(factor, rng.standard_normal((int(size), mean.shape[0])))
+    draws = mean + np.matvec(factor, rng.standard_normal((draw_count(size), mean.shape[0])))
+    return draws[0] if size is None else draws
 
 
 def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: RngStream,
@@ -310,11 +306,13 @@ def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: R
 
     Each draw takes from rng what sample_inverse_gamma followed by a
     zero-mean sample_mvn would, in that order (the squeeze method's normal
-    and uniform per try, the boost uniform when alpha < 1, then m normals),
-    and equals their result. The draws are taken one at a time; the gamma
-    transforms, the factors and the products run on all n at once. A gamma
-    draw that underflows to 0 (alpha of about 0.01 or less) raises
-    OverflowError, since its scale 1/g would be infinite.
+    and uniform per try, the boost uniform when alpha < 1, then m normals).
+    Draw k is sqrt(r_k) (L y_k) for its normals y_k and the one factor
+    L = mvn_factor(shape_matrix), which for shape_matrix = I is sample_mvn's
+    draw of N(0, r_k I) bit for bit. The draws are taken one at a time; the
+    gamma transforms and the products run on all n at once. A gamma draw
+    below about 5.6e-309 (alpha of about 0.01 or less) raises OverflowError,
+    since its scale 1/g is not finite.
     """
     boost = alpha < 1.0
     d, c = _mt_constants(alpha + 1.0 if boost else alpha)
@@ -331,8 +329,8 @@ def sample_t_mixture(alpha: float, beta: float, shape_matrix: np.ndarray, rng: R
     if boost:
         g *= u ** (1.0 / alpha)
     g /= beta
-    if not g.all():
-        raise OverflowError(f"an inverse-gamma scale overflowed: its gamma draw underflowed "
-                            f"to 0 (alpha={alpha}, beta={beta})")
-    r = 1.0 / g
-    return np.matvec(mvn_factor(r[:, None, None] * shape_matrix), normals)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = 1.0 / g
+    if not np.isfinite(r).all():
+        raise OverflowError(f"an inverse-gamma scale overflowed (alpha={alpha}, beta={beta})")
+    return np.sqrt(r)[:, None] * np.matvec(mvn_factor(shape_matrix), normals)

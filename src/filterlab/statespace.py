@@ -144,21 +144,21 @@ def indefinite(w: np.ndarray) -> bool:
 
 def checked_covariance(name: str, a, definite: bool = False) -> np.ndarray:
     """a as a float array, or ValueError unless it is a square, non-empty,
-    finite matrix, symmetric within 1e-10 max(|a|, 1), and positive
-    semidefinite within rounding (see indefinite), or positive definite
-    when definite is set."""
+    finite matrix, symmetric within 1e-10 max|a| (so c a passes if a does),
+    and positive semidefinite within rounding (see indefinite), or positive
+    definite when definite is set."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+        raise ValueError(f"{name} is not a square matrix: shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    if np.abs(a - a.T).max() > 1e-10 * max(np.abs(a).max(), 1.0):
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError(f"{name} is not finite")
+    if np.abs(a - a.T).max() > 1e-10 * max(np.abs(a).max(), 1e-300):
+        raise ValueError(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(symmetrize(a))
     if definite and not w[0] > 0.0:
-        raise ValueError(f"{name} must be positive definite")
+        raise ValueError(f"{name} is not positive definite")
     if indefinite(w):
-        raise ValueError(f"{name} must be positive semidefinite")
+        raise ValueError(f"{name} is not positive semidefinite")
     return a
 
 
@@ -169,14 +169,11 @@ class GaussianBelief:
     mean: np.ndarray
     cov: np.ndarray
 
-    def validate(self, rtol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """ValueError unless finite with a positive definite cov (see checked_covariance)."""
         if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
             raise ValueError("belief is not finite")
-        scale = max(np.abs(self.cov).max(), 1e-300)
-        if np.abs(self.cov - self.cov.T).max() > rtol * scale:
-            raise ValueError("covariance is not symmetric")
-        if np.linalg.eigvalsh(symmetrize(self.cov))[0] <= 0.0:
-            raise ValueError("covariance is not positive definite")
+        checked_covariance("covariance", self.cov, definite=True)
 
 
 @dataclass
@@ -206,8 +203,9 @@ class LinearModel:
                 raise ValueError(f"{name} must be finite")
         checked_covariance("Q", self.Q)
         checked_covariance("Rbar", self.Rbar, definite=True)
-        det = np.linalg.det(self.Rbar)
-        self.Rbar = self.Rbar / det ** (1.0 / m)
+        # Scaled by a power of two (exact) first, so det cannot overflow or underflow.
+        unit = np.ldexp(self.Rbar, 1 - np.frexp(np.abs(self.Rbar).max())[1])
+        self.Rbar = unit / np.linalg.det(unit) ** (1.0 / m)
 
     @cached_property
     def whitened(self):
@@ -248,11 +246,13 @@ def predict(belief: GaussianBelief, model: LinearModel) -> GaussianBelief:
     return GaussianBelief(*predict_batch(belief.mean, belief.cov, model))
 
 
+@np.errstate(all="ignore")
 def update_one(kernel, prior: GaussianBelief, z, *args):
     """Apply a batched update kernel to one belief and one measurement.
 
     Returns the posterior and the kernel's diagnostics (a batch of one).
-    Raises NumericalError for a non-finite measurement and for a failed row.
+    Raises NumericalError for a non-finite measurement and for a failed row;
+    the RuntimeWarnings of a failed row's arithmetic are silenced.
     """
     z = np.asarray(z, dtype=float)[None]
     if not np.isfinite(z).all():

@@ -22,7 +22,7 @@ from filterlab.harness import (
     run_trials,
     simulate_truth,
 )
-from filterlab.specfun import RngStream, sample_mvn
+from filterlab.specfun import RngStream, sample_gamma, sample_mvn
 from filterlab.statespace import cv_process_noise, cv_transition, solve_pd, two_point_init
 from oracles import run_trials_per_filter
 
@@ -162,6 +162,16 @@ class TestScenarioConfig:
         lambda: calibrate_mixing(100.0**2, 0.01, 100.0, 2, n_samples=150_000.0),
         lambda: calibrate_mixing(100.0**2, 0.01, 100.0, True, n_samples=10_000,
                                  alpha_grid=[1.0]),
+        lambda: sample_gamma(2.0, INF, RngStream(0)),
+        lambda: sample_gamma(INF, 1.0, RngStream(0)),
+        lambda: sample_gamma(2.0, 1.0, RngStream(0), size=2.5),
+        lambda: sample_gamma(2.0, 1.0, RngStream(0), size=True),
+        lambda: sample_mvn(np.zeros(2), np.eye(2), RngStream(0), size=2.5),
+        lambda: sample_mvn(np.zeros(2), np.eye(2), RngStream(0), size=True),
+        lambda: sample_noise(GaussianNoise(1.0, np.eye(2)), RngStream(0), size=2.5),
+        lambda: sample_noise(MultivariateTNoise(1.0, 1.0, np.eye(2)), RngStream(0), size=True),
+        lambda: calibrate_mixing(INF, 0.01, 100.0, 2, n_samples=10_000, alpha_grid=[1.0]),
+        lambda: calibrate_mixing(100.0**2, 0.01, INF, 2, n_samples=10_000, alpha_grid=[1.0]),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):

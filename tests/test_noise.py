@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
-from filterlab.specfun import RngStream, sample_inverse_gamma, sample_mvn
+from filterlab.specfun import RngStream, sample_gamma, sample_inverse_gamma, sample_mvn
 
 # Shape matrices no regime may be built with: NaN, indefinite, not square,
 # not symmetric.
@@ -23,7 +23,9 @@ def draw_many(regime, rng, n):
 
 def reference_draw(regime, rng):
     """One draw by the per-draw scheme: each covariance factored at its
-    draw, the t scale by sample_inverse_gamma."""
+    draw, the t scale by sample_inverse_gamma. A t draw scales a draw of
+    N(0, Rbar) by sqrt(r); for Rbar = I that is a draw of N(0, r I) bit for
+    bit, which the identity cases check against sample_mvn itself."""
     m = regime.Rbar.shape[0]
     if isinstance(regime, GaussianUniformNoise):
         if rng.uniform() < regime.p_out:
@@ -32,7 +34,9 @@ def reference_draw(regime, rng):
         return sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng)
     if isinstance(regime, MultivariateTNoise):
         r = sample_inverse_gamma(regime.alpha, regime.beta, rng)
-        return sample_mvn(np.zeros(m), r * regime.Rbar, rng)
+        if np.array_equal(regime.Rbar, np.eye(m)):
+            return sample_mvn(np.zeros(m), r * regime.Rbar, rng)
+        return np.sqrt(r) * sample_mvn(np.zeros(m), regime.Rbar, rng)
     return sample_mvn(np.zeros(m), regime.r_bar * regime.Rbar, rng)
 
 
@@ -155,6 +159,14 @@ class TestMultivariateTRegime:
         with pytest.raises(OverflowError):
             for _ in range(300):
                 sample_noise(reg, rng)
+
+    def test_subnormal_gamma_draw_raises(self):
+        # On this stream the single gamma draw is 1.5e-323: not 0, but its
+        # scale 1/g is infinite, and so would the noise be.
+        reg = MultivariateTNoise(0.002, 1.0, np.eye(2))
+        assert 0.0 < sample_gamma(0.002, 1.0, RngStream(3, 46)) < 5.6e-309
+        with pytest.raises(OverflowError):
+            sample_noise(reg, RngStream(3, 46))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,19 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             LinearModel(np.eye(4), np.eye(4), np.eye(2, 4), np.eye(3))
 
+    def test_rejects_asymmetric_rbar_at_any_scale(self):
+        # The symmetry test is relative to Rbar's own scale: at 1e-12 the
+        # asymmetry is far below 1e-10 absolute, and the unit-determinant
+        # normalisation would turn it into the unit-scale matrix rejected above.
+        with pytest.raises(ValueError, match="not symmetric"):
+            LinearModel(np.eye(2), np.eye(2), np.eye(2), 1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_normalises_extreme_scales(self, c):
+        # det(c I) overflows to inf at 1e200 and underflows to 0 at 1e-200.
+        model = LinearModel(np.eye(2), np.eye(2), np.eye(2), c * np.eye(2))
+        assert np.array_equal(model.Rbar, np.eye(2))
+
     def test_whitened_factors_are_the_models_own(self):
         F, Q = cv_transition(3.0), cv_process_noise(3.0, 1.0)
         H = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5]])
