@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--beta", type=float, default=None)
     run_p.add_argument("--clutter-per-gate", type=float, default=None)
-    run_p.add_argument("--init-from-regime", action="store_true", default=None)
     run_p.add_argument("--workers", type=int, default=None)
 
     cal_p = sub.add_parser("calibrate", help="derive mixing shape/scale from (r_out, rho)")

@@ -87,7 +87,6 @@ class ScenarioConfig:
     alpha: float = 0.9987
     beta: float = 99.84
     clutter_per_gate: float = 0.1
-    init_from_regime: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class ScenarioConfig:
         for name in ("trials", "updates", "k_star", "seed", "workers"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        if not isinstance(self.init_from_regime, (bool, np.bool_)):
-            raise ValueError("init_from_regime must be a bool")
         # RngStream's key range, checked without importing numpy.random for a stream.
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
@@ -208,12 +205,10 @@ def simulate_truth(config: ScenarioConfig, rng: RngStream):
 
     The truth starts at the configured state and evolves with white
     acceleration noise; the backward point feeding the first initialization
-    measurement is the deterministic backstep of the initial state. The two
-    initialization measurements follow the standard Gaussian model (matching
-    the covariance the two-point initializer assumes); init_from_regime
-    draws them from the configured noise regime instead, for ablation.
-    Draws are taken from rng in this order: the two initialization noises,
-    then the K process-noise vectors.
+    measurement is the deterministic backstep of the initial state. In every
+    noise regime the two initialization noises are N(0, r_bar I), the model
+    the two-point initializer assumes, and they are taken from rng before
+    the K process-noise vectors.
     """
     z_minus1, z_0, process_noise = _truth_draws(config, rng)
     return _propagate(config, process_noise), z_minus1, z_0
@@ -225,9 +220,7 @@ def _truth_draws(config: ScenarioConfig, rng: RngStream):
     x0 = np.asarray(config.x0)
     x_back = cv_transition(-config.T) @ x0
 
-    init_regime = (config.noise_regime() if config.init_from_regime
-                   else GaussianNoise(config.r_bar, np.eye(MEAS_DIM)))
-    init_noise = sample_noise(init_regime, rng, size=2)
+    init_noise = sample_mvn(np.zeros(MEAS_DIM), config.r_bar * np.eye(MEAS_DIM), rng, size=2)
     z_minus1 = POSITION_H @ x_back + init_noise[0]
     z_0 = POSITION_H @ x0 + init_noise[1]
 

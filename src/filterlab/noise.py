@@ -26,6 +26,9 @@ from .statespace import checked_covariance
 
 @dataclass
 class GaussianNoise:
+    """N(0, r_bar Rbar), with Rbar exactly as given (LinearModel rescales its
+    Rbar to unit determinant): pass model.Rbar for the noise a model assumes."""
+
     r_bar: float
     Rbar: np.ndarray
 
@@ -37,8 +40,10 @@ class GaussianNoise:
 
 @dataclass
 class GaussianUniformNoise:
-    """Gaussian with probability 1 - p_out, otherwise per-coordinate uniform
-    on [-6 sqrt(r_out), 6 sqrt(r_out)]."""
+    """N(0, r_bar Rbar) with probability 1 - p_out, otherwise per-coordinate
+    uniform on [-6 sqrt(r_out), 6 sqrt(r_out)]. Rbar is used exactly as given
+    (LinearModel rescales its Rbar to unit determinant): pass model.Rbar for
+    the noise a model assumes."""
 
     r_bar: float
     Rbar: np.ndarray
@@ -57,7 +62,9 @@ class GaussianUniformNoise:
 class MultivariateTNoise:
     """Heavy-tailed noise sampled by composition: draw the variance scale
     from an inverse gamma, then the noise from the scaled Gaussian. This is
-    the same mixture definition the robust filter assumes."""
+    the same mixture definition the robust filter assumes. Rbar is used
+    exactly as given (LinearModel rescales its Rbar to unit determinant):
+    pass model.Rbar for the noise a model assumes."""
 
     alpha: float
     beta: float

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .statespace import indefinite, symmetrize
+from .statespace import cholesky_pd, indefinite, symmetrize
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -272,10 +272,10 @@ def mvn_factor(cov) -> np.ndarray:
     """The factor L, L L' = cov, of one covariance (m, m), through which
     sample_mvn and sample_t_mixture draw: its Cholesky factor, or for a
     semidefinite cov (zero included), V sqrt(W) from its eigendecomposition.
-    Genuinely indefinite input raises LinAlgError."""
+    Non-finite input raises ValueError, indefinite input LinAlgError."""
     cov = symmetrize(np.asarray(cov, dtype=float))
     try:
-        return np.linalg.cholesky(cov)
+        return cholesky_pd(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
         if indefinite(w):

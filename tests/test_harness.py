@@ -106,7 +106,6 @@ class TestScenarioConfig:
             dict(clutter_per_gate=INF),
             dict(seed=-1),
             dict(seed=2**64),
-            dict(init_from_regime="false"),
             dict(fixed_iteration_mode="no"),
             dict(trials=True),
             dict(k_star=True),
@@ -216,27 +215,12 @@ class TestSimulateTruth:
         Q = cv_process_noise(cfg.T, cfg.q)
         assert np.abs(cov - Q).max() < 0.05 * np.abs(Q).max()
 
-    def test_init_from_regime(self):
-        # With every draw an outlier, the init residuals z - H x reach the
-        # uniform outlier range only when the flag draws them from the regime.
-        for flag in (False, True):
-            cfg = small_config(noise="gu", p_out=1.0, init_from_regime=flag)
-            H = cfg.model().H
-            x_back = cv_transition(-cfg.T) @ np.asarray(cfg.x0)
-            residuals = []
-            for i in range(50):
-                _, z_minus1, z_0 = simulate_truth(cfg, RngStream(13, i))
-                residuals += [z_minus1 - H @ x_back, z_0 - H @ np.asarray(cfg.x0)]
-            biggest = np.abs(residuals).max()
-            assert (biggest > 10.0 * np.sqrt(cfg.r_bar)) == flag
-
-    @pytest.mark.parametrize("noise, init_from_regime",
-                             [("gaussian", False), ("t", True), ("gu", True)])
-    def test_matches_per_step_scheme(self, noise, init_from_regime):
-        # The bulk draws equal the per-step scheme bit for bit: one noise
-        # draw per init measurement, then one sample_mvn call, which factors
-        # Q afresh, per process-noise vector.
-        cfg = small_config(noise=noise, init_from_regime=init_from_regime, q=0.5)
+    @pytest.mark.parametrize("noise", ["gaussian", "t", "gu"])
+    def test_matches_per_step_scheme(self, noise):
+        # The bulk draws equal the per-step scheme bit for bit: one Gaussian
+        # draw N(0, r_bar I) per init measurement in every regime, then one
+        # sample_mvn call, which factors Q afresh, per process-noise vector.
+        cfg = small_config(noise=noise, q=0.5)
         F = cv_transition(cfg.T)
         Q = cv_process_noise(cfg.T, cfg.q)
         H = cfg.model().H
@@ -244,10 +228,7 @@ class TestSimulateTruth:
         x_back = cv_transition(-cfg.T) @ x0
         for i in range(5):
             rng = RngStream(14, i)
-            if init_from_regime:
-                init = [sample_noise(cfg.noise_regime(), rng) for _ in range(2)]
-            else:
-                init = [sample_mvn(np.zeros(2), cfg.r_bar * np.eye(2), rng) for _ in range(2)]
+            init = [sample_mvn(np.zeros(2), cfg.r_bar * np.eye(2), rng) for _ in range(2)]
             truth = [x0]
             for _ in range(cfg.updates):
                 truth.append(F @ truth[-1] + sample_mvn(np.zeros(4), Q, rng))
@@ -575,13 +556,13 @@ class TestCli:
             "noise": "t", "trials": 7, "updates": 40, "seed": 5,
             "filters": ("kf", "pdaf"), "epsilon": 1e-4, "max_iterations": 9,
             "fixed_iteration_mode": True, "k_star": 11, "alpha": 1.5, "beta": 50.0,
-            "clutter_per_gate": 0.2, "init_from_regime": True, "workers": 2,
+            "clutter_per_gate": 0.2, "workers": 2,
         }
         code = cli_main([
             "run", "--noise", "t", "--trials", "7", "--updates", "40", "--seed", "5",
             "--filters", "kf, pdaf", "--epsilon", "1e-4", "--max-iters", "9",
             "--fixed-iters", "--k-star", "11", "--alpha", "1.5", "--beta", "50",
-            "--clutter-per-gate", "0.2", "--init-from-regime", "--workers", "2",
+            "--clutter-per-gate", "0.2", "--workers", "2",
             "--out", str(tmp_path),
         ])
         assert code == 1 and len(captured) == 1

@@ -396,6 +396,23 @@ class TestCalibrateMixing:
                                   alpha_grid=grid, n_samples=10_000, rng=rng)
         assert near.alpha > far.alpha
 
+    def test_evaluation_count(self, monkeypatch):
+        # One inverse incomplete gamma call per objective evaluation: the 451
+        # grid points of the default alpha grid, then 12 bisection steps. The
+        # calibrate benchmark's throughput counts evaluations through this
+        # module attribute.
+        from filterlab import nvmf
+        calls = []
+        inverse = nvmf.inv_reg_lower_inc_gamma
+
+        def counted(*args):
+            calls.append(args)
+            return inverse(*args)
+
+        monkeypatch.setattr(nvmf, "inv_reg_lower_inc_gamma", counted)
+        calibrate_mixing(10000, 0.01, 100, 2, n_samples=10_000, rng=RngStream(7))
+        assert len(calls) == 451 + 12
+
     def test_domain(self):
         with pytest.raises(ValueError):
             calibrate_mixing(100.0, 1.5, 100.0, 2)

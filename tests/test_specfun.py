@@ -246,3 +246,11 @@ class TestSampleMvn:
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             sample_mvn(np.zeros(2), bad, rng)
+
+    @pytest.mark.parametrize("bad", [[[1.0, math.nan], [math.nan, 1.0]],
+                                     [[math.inf, 0.0], [0.0, 1.0]]])
+    def test_non_finite_cov_raises(self, bad):
+        # numpy's Cholesky factors these without error, so the draws would
+        # carry the NaN or inf.
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sample_mvn(np.zeros(2), bad, RngStream(0))
