@@ -40,14 +40,12 @@ from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, samp
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
 from .specfun import RngStream, is_integer, sample_mvn
 from .statespace import (
-    Failure,
     LinearModel,
     cv_process_noise,
     cv_transition,
     lapack,
     predict,
     predict_batch,
-    rowwise,
     two_point_init,
 )
 
@@ -115,7 +113,7 @@ class ScenarioConfig:
             raise ValueError(f"x0 must have {STATE_DIM} entries")
         if not all(map(math.isfinite, self.x0)):
             raise ValueError("x0 must be finite")
-        for name in ("T", "r_bar", "r_out", "tau"):
+        for name in ("T", "r_bar", "r_out"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.q < math.inf:
@@ -124,10 +122,21 @@ class ScenarioConfig:
             raise ValueError("p_out must lie in [0, 1]")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if not 0.0 <= self.clutter_per_gate < math.inf:
-            raise ValueError("clutter_per_gate must be nonnegative and finite")
-        self.mixing()        # validates alpha and beta
-        self.nvmf_config()   # validates epsilon, max_iterations and fixed_iteration_mode
+        # A t draw's scale beta / g overflows when its Gamma(alpha) draw g
+        # underflows, with probability about exp(-709 alpha): 4e-16 at 0.05.
+        if self.noise == "t" and not self.alpha >= 0.05:
+            raise ValueError("alpha must be at least 0.05 in the t regime")
+        # Build what a run builds, so that no run rejects the configuration
+        # later (tau, w, clutter_per_gate and the gate are checked here). An
+        # overflow in Q reads as a non-finite Q, except T**3's.
+        try:
+            with np.errstate(all="ignore"):
+                self.model()
+        except OverflowError:
+            raise ValueError("T is too large: the process noise covariance overflows") from None
+        for build in (self.noise_regime, self.mixing, self.nvmf_config, self.kfor_config,
+                      self.pdaf_config):
+            build()
         # Keep selection in canonical order for stable output columns.
         self.filters = tuple(f for f in FILTER_ORDER if f in self.filters)
 
@@ -164,6 +173,12 @@ class ScenarioConfig:
 
     def nvmf_config(self) -> NvmfConfig:
         return NvmfConfig(self.epsilon, self.max_iterations, self.fixed_iteration_mode)
+
+    def kfor_config(self) -> KforConfig:
+        return KforConfig(self.tau, self.w)
+
+    def pdaf_config(self) -> PdafConfig:
+        return PdafConfig(self.p_detect, self.gate, self.clutter_density)
 
     def noise_regime(self):
         Rbar = np.eye(MEAS_DIM)
@@ -241,11 +256,10 @@ def _propagate(config: ScenarioConfig, process_noise: np.ndarray) -> np.ndarray:
     return truth
 
 
-def _nees(err: np.ndarray, cov: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """Normalized estimation error squared per row; a row whose covariance
-    cannot be solved gets ILL_CONDITIONED in status (see mark_failed)."""
-    solved = rowwise(status, Failure.ILL_CONDITIONED, lapack.solve, cov, err[..., None])
-    return np.vecdot(err, solved[..., 0])
+def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Normalized estimation error squared per row, NaN for a row whose
+    covariance cannot be solved (numpy's fill for a failed LAPACK slice)."""
+    return np.vecdot(err, lapack.solve(cov, err[..., None])[..., 0])
 
 
 # The filters' order in run_trials' stack: the Kalman family, which shares
@@ -329,9 +343,8 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     filter_idx = np.repeat([i for i, f in enumerate(STACK_ORDER) if f in names], N)
     trial_idx = np.tile(np.arange(N), len(names))
     mean, cov = init_mean[trial_idx], init_cov[trial_idx]
-    kernel_args = (model, R, KforConfig(config.tau, config.w),
-                   PdafConfig(config.p_detect, config.gate, config.clutter_density),
-                   config.mixing(), config.nvmf_config())
+    kernel_args = (model, R, config.kfor_config(), config.pdaf_config(), config.mixing(),
+                   config.nvmf_config())
     # Indexed by filter in STACK_ORDER, then by trial.
     squared_error = np.full((len(STACK_ORDER), N, K), np.inf)
     nees = np.full((len(STACK_ORDER), N, K), np.inf)
@@ -348,7 +361,7 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
                                               *kernel_args)
             err = mean - truth[k + 1, trial_idx]
             se = np.vecdot(err, err)
-            ne = _nees(err, cov, status)
+            ne = _nees(err, cov)
             ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
             if not ok.all():
                 failed[filter_idx[~ok], trial_idx[~ok]] = True

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .statespace import cholesky_pd, indefinite, symmetrize
+from .statespace import indefinite
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -272,10 +272,14 @@ def mvn_factor(cov) -> np.ndarray:
     """The factor L, L L' = cov, of one covariance (m, m), through which
     sample_mvn and sample_t_mixture draw: its Cholesky factor, or for a
     semidefinite cov (zero included), V sqrt(W) from its eigendecomposition.
-    Non-finite input raises ValueError, indefinite input LinAlgError."""
-    cov = symmetrize(np.asarray(cov, dtype=float))
+    Non-finite input raises ValueError, indefinite input LinAlgError; only
+    an asymmetric cov is symmetrised, in a form that cannot overflow."""
+    cov = np.asarray(cov, dtype=float)
+    if not np.isfinite(cov).all():
+        raise ValueError("array must not contain infs or NaNs")
+    cov = np.where(cov == cov.T, cov, 0.5 * cov + 0.5 * cov.T)
     try:
-        return cholesky_pd(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
         if indefinite(w):

@@ -4,10 +4,10 @@ Also the conventions every filter kernel shares. A kernel advances a stack
 of N independent beliefs at once: means (N, n), covariances (N, n, n),
 measurements (N, m). Every contraction is a stacked matmul, np.matvec or
 np.vecdot, or one of the LAPACK gufuncs behind numpy.linalg called through
-rowwise; all of them work slice by slice, so a row's result does not depend
+rowwise; all of them work slice by slice, so a row's values do not depend
 on N or on the other rows. A kernel never raises for a bad row; it returns
 a per-row status, 0 for success or a Failure code, and the row's values are
-then meaningless.
+then meaningless; a row on which LAPACK fails is numpy's NaN fill, not retried.
 """
 
 from __future__ import annotations
@@ -92,43 +92,25 @@ def solve_pd(a, b) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
-def _lapack_failed(err, flag):
-    raise np.linalg.LinAlgError("LAPACK failed on a row")
-
-
-# numpy.linalg's error contract: LAPACK marks a failed slice by raising the
-# invalid flag, which the callback turns into LinAlgError.
-@np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _lapack_call(gufunc, *args):
-    return gufunc(*args)
-
-
+# numpy.linalg's error contract: a gufunc fills the output of each slice
+# on which LAPACK fails with NaN, then raises the invalid flag.
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def rowwise(status: np.ndarray, cause: Failure, gufunc, a: np.ndarray, *args):
     """gufunc(a, *args) for a lapack gufunc over a float64 stack of matrices
-    a, numpy.linalg's result bit for bit; the rows on which LAPACK fails
-    get cause in status (see mark_failed).
-
-    LAPACK failing on one row makes the call raise for the whole stack, so
-    the rows are then tried one at a time, and each failing row is replaced
-    by the identity (its other arguments by zeros) before the stacked call
-    is repeated. Slices are computed independently, so the good rows'
-    results are the same either way.
+    a, numpy.linalg's result bit for bit. After a failure the stack is
+    computed once more with the flag ignored, and each row whose (first)
+    output is all NaN gets cause in status (see mark_failed). So does a row
+    whose non-finite input LAPACK spreads over its whole output, so the
+    cause such a row gets can depend on the other rows of its stack.
     """
     try:
-        return _lapack_call(gufunc, a, *args)
-    except np.linalg.LinAlgError:
-        pass
-    bad = np.zeros(a.shape[0], dtype=bool)
-    for i in range(a.shape[0]):
-        try:
-            _lapack_call(gufunc, a[i:i + 1], *(b[i:i + 1] for b in args))
-        except np.linalg.LinAlgError:
-            bad[i] = True
-    mark_failed(status, bad, cause)
-    a = np.where(bad[:, None, None], np.eye(a.shape[-1]), a)
-    args = [np.where(bad.reshape((-1,) + (1,) * (b.ndim - 1)), 0.0, b) for b in args]
-    return _lapack_call(gufunc, a, *args)
+        return gufunc(a, *args)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            out = gufunc(a, *args)
+    first = out[0] if isinstance(out, tuple) else out
+    mark_failed(status, np.isnan(first.reshape(len(first), -1)).all(axis=1), cause)
+    return out
 
 
 # A matrix whose smallest eigenvalue is below -_PSD_RTOL max(1, |largest|)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from filterlab.baselines import KforConfig, PdafConfig, kfor_batch, pdaf_batch
+from filterlab.baselines import kfor_batch, pdaf_batch
 from filterlab.errors import NumericalError
 from filterlab.harness import FILTER_ORDER, MEAS_DIM, STATE_DIM, Trials, _nees, simulate_truth
 from filterlab.kalman import COND_LIMIT, UpdateDiagnostics, kf_batch
@@ -122,9 +122,8 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
     kernels = {
         "kf": (kf_batch, H, R),
         "nvmf": (nvmf_batch, model, config.mixing(), config.nvmf_config()),
-        "pdaf": (pdaf_batch, H, R,
-                 PdafConfig(config.p_detect, config.gate, config.clutter_density)),
-        "kfor": (kfor_batch, H, R, KforConfig(config.tau, config.w)),
+        "pdaf": (pdaf_batch, H, R, config.pdaf_config()),
+        "kfor": (kfor_batch, H, R, config.kfor_config()),
     }
     updates = {f: kernels[f] for f in FILTER_ORDER if f in set(config.filters) | {"kf"}}
     squared_error = {f: np.full((N, K), np.inf) for f in updates}
@@ -143,7 +142,7 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
                 mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
                 err = mean - truth[rows, k + 1]
                 se = np.vecdot(err, err)
-                ne = _nees(err, cov, status)
+                ne = _nees(err, cov)
                 ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
                 if not ok.all():
                     failed[f][rows[~ok]] = True

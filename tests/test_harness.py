@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ from oracles import run_trials_per_filter
 
 NAN = math.nan
 INF = math.inf
+
+# Configurations whose derived quantities overflow: each constructed, then
+# failed mid-run (the last inside each pool worker), unless it is rejected
+# at construction.
+OVERFLOWING_CONFIGS = [
+    dict(T=1e120, q=1.0),                            # the process noise covariance
+    dict(r_out=1e-320, r_bar=1e-320),                # the clutter density
+    dict(r_out=1e300, r_bar=1e-10, workers=2),       # the gate
+]
 
 
 def small_config(**kw):
@@ -112,9 +122,23 @@ class TestScenarioConfig:
             dict(seed=True),
             dict(workers=True),
             dict(max_iterations=True),
+            dict(noise="t", alpha=0.049),
+            *OVERFLOWING_CONFIGS,
         ]:
             with pytest.raises(ValueError):
                 ScenarioConfig(**bad)
+
+    @pytest.mark.parametrize("bad", OVERFLOWING_CONFIGS)
+    def test_overflow_is_rejected_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                ScenarioConfig(**bad)
+
+    def test_alpha_floor_holds_in_the_t_regime_only(self):
+        assert ScenarioConfig(noise="t", alpha=0.05).alpha == 0.05
+        for noise in ("gaussian", "gu"):
+            assert ScenarioConfig(noise=noise, alpha=0.01).alpha == 0.01
 
     @pytest.mark.parametrize("make", [
         lambda: InverseGammaMixing(NAN, 1.0),

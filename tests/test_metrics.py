@@ -10,10 +10,7 @@ from filterlab.metrics import consistency_interval, detect_divergence
 def anees(errors, covs) -> float:
     """ANEES as the harness aggregates it: the mean over trials of each
     trial's NEES from the harness's stacked solve."""
-    errors = np.asarray(errors, dtype=float)
-    status = np.zeros(len(errors), dtype=np.int8)
-    ne = _nees(errors, np.asarray(covs, dtype=float), status)
-    assert not status.any()
+    ne = _nees(np.asarray(errors, dtype=float), np.asarray(covs, dtype=float))
     return float(ne.mean())
 
 
@@ -38,6 +35,13 @@ class TestAnees:
         val = anees(errs, [P] * N)
         se = math.sqrt(2.0 * L / N)
         assert abs(val - L) < 3.0 * se
+
+    def test_singular_covariance_gives_nan(self):
+        # run_trials drops a row whose NEES is not finite.
+        cov = np.stack([np.eye(2), np.zeros((2, 2)), 4.0 * np.eye(2)])
+        with np.errstate(invalid="ignore"):
+            ne = _nees(np.ones((3, 2)), cov)
+        assert np.isnan(ne[1]) and ne[[0, 2]].tolist() == [2.0, 0.5]
 
 
 class TestConsistencyInterval:

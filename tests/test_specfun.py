@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from filterlab.specfun import (
     chi_square_quantile,
     inv_reg_lower_inc_gamma,
     log_gamma,
+    mvn_factor,
     reg_lower_inc_gamma,
     sample_gamma,
     sample_inverse_gamma,
@@ -254,3 +256,15 @@ class TestSampleMvn:
         # carry the NaN or inf.
         with pytest.raises(ValueError, match="infs or NaNs"):
             sample_mvn(np.zeros(2), bad, RngStream(0))
+
+    def test_finite_extremes_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = mvn_factor(1e308 * np.eye(2))
+            assert np.array_equal(factor, np.sqrt(1e308) * np.eye(2))
+            with pytest.raises(np.linalg.LinAlgError, match="not positive semidefinite"):
+                mvn_factor([[1.0, 1e308], [1e308, 1.0]])
+
+    def test_asymmetric_cov_is_symmetrised(self):
+        cov = np.array([[4.0, 1.0], [3.0, 3.0]])
+        assert np.array_equal(mvn_factor(cov), np.linalg.cholesky([[4.0, 2.0], [2.0, 3.0]]))

@@ -374,6 +374,64 @@ class TestLapackGufuncs:
             assert _same_bits(rows, tuple(one) if name == "eigh_lo" else one)
 
 
+# A row on which each gufunc's LAPACK routine fails: no Cholesky factor
+# for an indefinite matrix, no inverse or solve for a singular one, and no
+# eigendecomposition of a 4 x 4 matrix of NaN.
+FAILING_ROW = {
+    "cholesky_lo": np.diag([1.0, -2.0, 3.0, 1.0]),
+    "inv": np.zeros((4, 4)),
+    "solve": np.zeros((4, 4)),
+    "eigh_lo": np.full((4, 4), np.nan),
+    "eigvalsh_lo": np.full((4, 4), np.nan),
+}
+
+
+BAD_ROW = 3
+
+
+def _one_failing_row(name, N=8):
+    rng = np.random.default_rng(70)
+    a = _spd_stack(rng, N)
+    a[BAD_ROW] = FAILING_ROW[name]
+    return a, LAPACK_PAIRS[name][1](rng, N, 4)
+
+
+class TestLapackFailureContract:
+    """rowwise reads a failed row off numpy's own report: the gufunc raises
+    the invalid flag and fills that slice's output with NaN."""
+
+    @pytest.mark.parametrize("name", sorted(LAPACK_PAIRS))
+    def test_failed_slice_is_nan_filled_and_raises_invalid(self, name):
+        a, args = _one_failing_row(name)
+        gufunc = getattr(lapack, name)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            gufunc(a, *args)
+        with np.errstate(invalid="ignore"):
+            out = gufunc(a, *args)
+        out = out if isinstance(out, tuple) else (out,)
+        assert all(np.isnan(x[BAD_ROW]).all() for x in out)
+        good = np.arange(len(a)) != BAD_ROW
+        reference = LAPACK_PAIRS[name][0](a[good], *(b[good] for b in args))
+        assert _same_bits(tuple(x[good] for x in out),
+                          tuple(reference) if name == "eigh_lo" else reference)
+
+    @pytest.mark.parametrize("name", sorted(LAPACK_PAIRS))
+    def test_rowwise_makes_no_per_row_call(self, name):
+        a, args = _one_failing_row(name)
+        gufunc = getattr(lapack, name)
+        stacks = []
+
+        def counted(*call_args):
+            stacks.append(len(call_args[0]))
+            return gufunc(*call_args)
+
+        status = np.zeros(len(a), dtype=np.int8)
+        rowwise(status, Failure.NON_FINITE, counted, a, *args)
+        # The call that reports the failure, and one repeat that ignores it.
+        assert stacks == [len(a), len(a)]
+        assert np.flatnonzero(status).tolist() == [BAD_ROW]
+
+
 def _scaled(rng, shape):
     """Normal entries over many magnitudes, so any change in the order of
     a sum shows in the last bits."""
