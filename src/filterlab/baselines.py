@@ -66,6 +66,7 @@ def _chi_square_cdf(dof: int, x: float) -> float:
     return reg_lower_inc_gamma(dof / 2.0, x / 2.0)
 
 
+@np.errstate(all="ignore")
 def kfor_batch(mean, cov, z, H, R, config: KforConfig):
     """Kalman update of a stack of beliefs with per-component outlier detection.
 
@@ -98,6 +99,7 @@ def kfor_update(prior: GaussianBelief, z, H, R, config: KforConfig):
     return post, flags[0]
 
 
+@np.errstate(all="ignore")
 def pdaf_batch(mean, cov, z, H, R, config: PdafConfig):
     """Probabilistic data association update of a stack of beliefs, one
     candidate measurement each.

@@ -27,14 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=lambda text: tuple(f.strip() for f in text.split(",") if f.strip()),
                        help="comma-separated subset of kf,nvmf,pdaf,kfor")
     run_p.add_argument("--out", type=str, required=True)
-    run_p.add_argument("--epsilon", type=float, default=None)
-    run_p.add_argument("--max-iters", dest="max_iterations", type=int, default=None)
-    run_p.add_argument("--fixed-iters", dest="fixed_iteration_mode", action="store_true",
-                       default=None)
     run_p.add_argument("--k-star", type=int, default=None)
     run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--beta", type=float, default=None)
-    run_p.add_argument("--clutter-per-gate", type=float, default=None)
     run_p.add_argument("--workers", type=int, default=None)
 
     cal_p = sub.add_parser("calibrate", help="derive mixing shape/scale from (r_out, rho)")

@@ -62,7 +62,8 @@ class ScenarioConfig:
 
     The filter-design quantities (detection probability, gate, outlier half
     width, clutter density) are derived, so the cross-parameter relations
-    hold by construction.
+    hold by construction. Filter tuning is fixed: NvmfConfig()'s EM rule,
+    KFOR's 3-sigma threshold (tau) and 0.1 PDAF clutter points per gate.
     """
 
     x0: tuple = (100.0, 100.0, 20.0, 10.0)
@@ -72,19 +73,14 @@ class ScenarioConfig:
     r_out: float = 100.0**2
     p_out: float = 0.1
     rho: float = 0.01
-    tau: float = 3.0
     trials: int = 1000
     updates: int = 600
     k_star: int = 150
     seed: int = 0
     noise: str = "gaussian"
     filters: tuple = FILTER_ORDER
-    epsilon: float = 1e-6
-    max_iterations: int = 25
-    fixed_iteration_mode: bool = False
     alpha: float = 0.9987
     beta: float = 99.84
-    clutter_per_gate: float = 0.1
     workers: int = 1
 
     def __post_init__(self):
@@ -127,15 +123,14 @@ class ScenarioConfig:
         if self.noise == "t" and not self.alpha >= 0.05:
             raise ValueError("alpha must be at least 0.05 in the t regime")
         # Build what a run builds, so that no run rejects the configuration
-        # later (tau, w, clutter_per_gate and the gate are checked here). An
+        # later (w, the gate and the clutter density are checked here). An
         # overflow in Q reads as a non-finite Q, except T**3's.
         try:
             with np.errstate(all="ignore"):
                 self.model()
         except OverflowError:
             raise ValueError("T is too large: the process noise covariance overflows") from None
-        for build in (self.noise_regime, self.mixing, self.nvmf_config, self.kfor_config,
-                      self.pdaf_config):
+        for build in (self.noise_regime, self.mixing, self.kfor_config, self.pdaf_config):
             build()
         # Keep selection in canonical order for stable output columns.
         self.filters = tuple(f for f in FILTER_ORDER if f in self.filters)
@@ -149,16 +144,20 @@ class ScenarioConfig:
         return math.sqrt(self.r_out / self.r_bar)
 
     @property
+    def tau(self) -> float:
+        return 3.0
+
+    @property
     def w(self) -> float:
         return 3.0 * math.sqrt(self.r_out)
 
     @property
     def clutter_density(self) -> float:
-        # clutter_per_gate is the assumed expected number of clutter points
-        # in the validation region; the nominal region volume uses the
-        # regular measurement covariance r_bar * I.
+        # 0.1 is the assumed expected number of clutter points in the
+        # validation region; the nominal region volume uses the regular
+        # measurement covariance r_bar * I.
         gate_volume = math.pi * self.gate**2 * self.r_bar
-        return self.clutter_per_gate / gate_volume
+        return 0.1 / gate_volume
 
     def model(self) -> LinearModel:
         return LinearModel(
@@ -172,7 +171,7 @@ class ScenarioConfig:
         return InverseGammaMixing(self.alpha, self.beta)
 
     def nvmf_config(self) -> NvmfConfig:
-        return NvmfConfig(self.epsilon, self.max_iterations, self.fixed_iteration_mode)
+        return NvmfConfig()
 
     def kfor_config(self) -> KforConfig:
         return KforConfig(self.tau, self.w)

@@ -39,6 +39,7 @@ class UpdateDiagnostics:
     innovation_eigvals: np.ndarray
 
 
+@np.errstate(all="ignore")
 def kf_batch(mean, cov, z, H, R):
     """Covariance-form measurement update of a stack of beliefs.
 

@@ -159,6 +159,7 @@ def _corrected(P_inf, pu, denom):
     return symmetrize(P_inf + pu[..., :, None] * pu[..., None, :] / denom[..., None, None])
 
 
+@np.errstate(all="ignore")
 def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
                config: NvmfConfig):
     """Measurement update of a stack of predicted beliefs: EM to each row's

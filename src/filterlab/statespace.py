@@ -5,9 +5,10 @@ of N independent beliefs at once: means (N, n), covariances (N, n, n),
 measurements (N, m). Every contraction is a stacked matmul, np.matvec or
 np.vecdot, or one of the LAPACK gufuncs behind numpy.linalg called through
 rowwise; all of them work slice by slice, so a row's values do not depend
-on N or on the other rows. A kernel never raises for a bad row; it returns
-a per-row status, 0 for success or a Failure code, and the row's values are
-then meaningless; a row on which LAPACK fails is numpy's NaN fill, not retried.
+on N or on the other rows. A kernel never raises or warns for a bad row; it
+returns a per-row status, 0 for success or a Failure code, and the row's
+values are then meaningless; a row on which LAPACK fails is numpy's NaN
+fill, not retried.
 """
 
 from __future__ import annotations
@@ -228,13 +229,11 @@ def predict(belief: GaussianBelief, model: LinearModel) -> GaussianBelief:
     return GaussianBelief(*predict_batch(belief.mean, belief.cov, model))
 
 
-@np.errstate(all="ignore")
 def update_one(kernel, prior: GaussianBelief, z, *args):
     """Apply a batched update kernel to one belief and one measurement.
 
     Returns the posterior and the kernel's diagnostics (a batch of one).
-    Raises NumericalError for a non-finite measurement and for a failed row;
-    the RuntimeWarnings of a failed row's arithmetic are silenced.
+    Raises NumericalError for a non-finite measurement and for a failed row.
     """
     z = np.asarray(z, dtype=float)[None]
     if not np.isfinite(z).all():

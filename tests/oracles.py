@@ -132,25 +132,25 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
     kf_cov_trace = np.full(K, np.nan)
     beliefs = {f: (np.arange(N), init_mean, init_cov) for f in updates}
 
-    with np.errstate(all="ignore"):
-        for k in range(K):
-            for f, (kernel, *args) in updates.items():
-                rows, mean, cov = beliefs[f]
-                if not rows.size:
-                    continue
-                mean, cov = predict_batch(mean, cov, model)
-                mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
-                err = mean - truth[rows, k + 1]
-                se = np.vecdot(err, err)
+    for k in range(K):
+        for f, (kernel, *args) in updates.items():
+            rows, mean, cov = beliefs[f]
+            if not rows.size:
+                continue
+            mean, cov = predict_batch(mean, cov, model)
+            mean, cov, status, _ = kernel(mean, cov, measurements[k, rows], *args)
+            err = mean - truth[rows, k + 1]
+            se = np.vecdot(err, err)
+            with np.errstate(all="ignore"):   # a failed row's solve
                 ne = _nees(err, cov)
-                ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
-                if not ok.all():
-                    failed[f][rows[~ok]] = True
-                    rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))
-                squared_error[f][rows, k] = se
-                nees[f][rows, k] = ne
-                beliefs[f] = rows, mean, cov
-                if f == "kf" and rows.size:
-                    kf_cov_trace[k] = np.trace(cov[0])
+            ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
+            if not ok.all():
+                failed[f][rows[~ok]] = True
+                rows, mean, cov, se, ne = (a[ok] for a in (rows, mean, cov, se, ne))
+            squared_error[f][rows, k] = se
+            nees[f][rows, k] = ne
+            beliefs[f] = rows, mean, cov
+            if f == "kf" and rows.size:
+                kf_cov_trace[k] = np.trace(cov[0])
 
     return Trials(ids, squared_error, nees, failed, kf_cov_trace)

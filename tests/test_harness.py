@@ -40,6 +40,11 @@ OVERFLOWING_CONFIGS = [
 ]
 
 
+# Filter tuning that ScenarioConfig fixes, each with a value it once accepted.
+REMOVED_FIELDS = {"epsilon": 1e-4, "max_iterations": 9, "fixed_iteration_mode": True,
+                  "clutter_per_gate": 0.2, "tau": 2.0}
+
+
 def small_config(**kw):
     base = dict(trials=8, updates=30, k_star=8, seed=3, noise="gaussian")
     base.update(kw)
@@ -73,6 +78,9 @@ class TestScenarioConfig:
         assert abs(cfg.gate - 10.0) < 1e-12
         assert abs(cfg.w - 300.0) < 1e-12
         assert cfg.x0 == (100.0, 100.0, 20.0, 10.0)
+        assert cfg.nvmf_config() == NvmfConfig()
+        assert cfg.kfor_config() == KforConfig(3.0, cfg.w)
+        assert cfg.pdaf_config().clutter_density == 0.1 / (math.pi * cfg.gate**2 * cfg.r_bar)
 
     def test_validation(self):
         for bad in [
@@ -84,25 +92,19 @@ class TestScenarioConfig:
             dict(q=-1e-6),
             dict(r_bar=0.0),
             dict(r_out=-1.0),
-            dict(tau=0.0),
             dict(p_out=1.5),
             dict(p_out=-0.1),
             dict(rho=1.0),
             dict(alpha=0.0),
             dict(beta=-1.0),
-            dict(epsilon=0.0),
-            dict(max_iterations=0),
             dict(x0=(1.0, 2.0, 3.0)),
-            dict(epsilon=NAN),
             dict(T=NAN),
             dict(alpha=NAN),
-            dict(clutter_per_gate=NAN),
             dict(trials=2.5),
             dict(updates=600.5),
             dict(k_star=150.5),
             dict(seed=1.5),
             dict(workers=1.5),
-            dict(max_iterations=2.5),
             dict(x0=(100.0, NAN, 20.0, 10.0)),
             dict(x0=(100.0, 100.0, INF, 10.0)),
             dict(T=INF),
@@ -111,17 +113,12 @@ class TestScenarioConfig:
             dict(r_out=INF),
             dict(alpha=INF),
             dict(beta=INF),
-            dict(tau=INF),
-            dict(epsilon=INF),
-            dict(clutter_per_gate=INF),
             dict(seed=-1),
             dict(seed=2**64),
-            dict(fixed_iteration_mode="no"),
             dict(trials=True),
             dict(k_star=True),
             dict(seed=True),
             dict(workers=True),
-            dict(max_iterations=True),
             dict(noise="t", alpha=0.049),
             *OVERFLOWING_CONFIGS,
         ]:
@@ -195,10 +192,18 @@ class TestScenarioConfig:
         lambda: sample_noise(MultivariateTNoise(1.0, 1.0, np.eye(2)), RngStream(0), size=True),
         lambda: calibrate_mixing(INF, 0.01, 100.0, 2, n_samples=10_000, alpha_grid=[1.0]),
         lambda: calibrate_mixing(100.0**2, 0.01, INF, 2, n_samples=10_000, alpha_grid=[1.0]),
+        lambda: NvmfConfig(epsilon=0.0),
+        lambda: NvmfConfig(max_iterations=0),
+        lambda: KforConfig(0.0, 1.0),
     ])
     def test_public_configs_reject_nan_and_fractional_counts(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_filter_tuning_is_not_a_field(self, name):
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{name: REMOVED_FIELDS[name]})
 
     def test_filter_order_canonical(self):
         cfg = ScenarioConfig(filters=("pdaf", "kf"))
@@ -563,10 +568,27 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         code = cli_main([
             "run", "--noise", "gaussian", "--trials", "2", "--updates", "10",
-            "--k-star", "5", "--epsilon", "nan", "--out", str(tmp_path),
+            "--k-star", "5", "--workers", "0", "--out", str(tmp_path),
         ])
         assert code == 1
-        assert "epsilon" in capsys.readouterr().err
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--epsilon", "1e-4"], ["--max-iters", "9"],
+                                      ["--fixed-iters"], ["--clutter-per-gate", "0.2"]],
+                             ids=lambda flag: flag[0])
+    def test_filter_tuning_flag_is_a_usage_error(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "--trials", "2", "--out", str(tmp_path), *flag])
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_config_file_naming_filter_tuning_is_an_error(self, tmp_path, capsys, name):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({name: REMOVED_FIELDS[name]}))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
     def test_each_run_flag_reaches_its_field(self, tmp_path, monkeypatch):
         captured = []
@@ -578,15 +600,13 @@ class TestCli:
         monkeypatch.setattr("filterlab.cli.run_monte_carlo", capture)
         expected = {
             "noise": "t", "trials": 7, "updates": 40, "seed": 5,
-            "filters": ("kf", "pdaf"), "epsilon": 1e-4, "max_iterations": 9,
-            "fixed_iteration_mode": True, "k_star": 11, "alpha": 1.5, "beta": 50.0,
-            "clutter_per_gate": 0.2, "workers": 2,
+            "filters": ("kf", "pdaf"), "k_star": 11, "alpha": 1.5, "beta": 50.0,
+            "workers": 2,
         }
         code = cli_main([
             "run", "--noise", "t", "--trials", "7", "--updates", "40", "--seed", "5",
-            "--filters", "kf, pdaf", "--epsilon", "1e-4", "--max-iters", "9",
-            "--fixed-iters", "--k-star", "11", "--alpha", "1.5", "--beta", "50",
-            "--clutter-per-gate", "0.2", "--workers", "2",
+            "--filters", "kf, pdaf", "--k-star", "11", "--alpha", "1.5", "--beta", "50",
+            "--workers", "2",
             "--out", str(tmp_path),
         ])
         assert code == 1 and len(captured) == 1

@@ -130,8 +130,7 @@ def test_bad_row_fails_alone(name):
     mean, cov, z = random_stack(np.random.default_rng(24), 7)
     clean = kernel(mean, cov, z, *args)
     for edit, row, m, c, zz in _bad_rows(mean, cov, z):
-        with np.errstate(all="ignore"):
-            post_mean, post_cov, status, _ = kernel(m, c, zz, *args)
+        post_mean, post_cov, status, _ = kernel(m, c, zz, *args)
         good = np.arange(len(mean)) != row
         if edit != "huge_z" or name == "nvmf":
             assert status[row] != 0, edit
@@ -158,6 +157,9 @@ def _failure_cases():
         "overflowing_innovation": (np.array([-1.7e308, 0.0, 0.0, 0.0]), P,
                                    np.array([1.7e308, 1.0])),
         "huge_z": (x, P, np.array([1e200, 1e200])),
+        # overflows inside NVMF, whose correction audit then fails the row;
+        # the Kalman family updates it
+        "huge_cov": (x, 1e300 * P, z),
     }
 
 
@@ -165,13 +167,15 @@ def _failure_cases():
 # KF, KFOR and PDAF test S before the output, so an indefinite P outranks a
 # NaN z. NVMF tests P's Cholesky factor, then z, then each EM step. A P with
 # an infinite entry passes the factorisation but has NaN eigenvalues, which
-# fail the EM's definiteness test unless a NaN z failed the row first.
+# fail the EM's definiteness test unless a NaN z failed the row first. No
+# case may warn: the suite turns a RuntimeWarning into an error.
 EXPECTED_STATUS = {
     "kf": {"nan_z": 5, "indefinite": 2, "nan_z+indefinite": 2, "inf_cov": 2,
-           "nan_z+inf_cov": 2, "ill_conditioned": 2, "overflowing_innovation": 5, "huge_z": 0},
+           "nan_z+inf_cov": 2, "ill_conditioned": 2, "overflowing_innovation": 5, "huge_z": 0,
+           "huge_cov": 0},
     "nvmf": {"nan_z": 5, "indefinite": 1, "nan_z+indefinite": 1, "inf_cov": 1,
              "nan_z+inf_cov": 5, "ill_conditioned": 4, "overflowing_innovation": 1,
-             "huge_z": 5},
+             "huge_z": 5, "huge_cov": 4},
 }
 EXPECTED_STATUS["pdaf"] = EXPECTED_STATUS["kfor"] = EXPECTED_STATUS["kf"]
 
@@ -181,10 +185,9 @@ def test_failure_codes_and_their_precedence(name):
     kernel, args, _ = FILTERS[name]
     cases = _failure_cases()
     mean, cov, z = (np.array([case[i] for case in cases.values()]) for i in range(3))
-    with np.errstate(all="ignore"):
-        stacked = kernel(mean, cov, z, *args)
-        singles = [kernel(mean[i:i + 1], cov[i:i + 1], z[i:i + 1], *args)
-                   for i in range(len(cases))]
+    stacked = kernel(mean, cov, z, *args)
+    singles = [kernel(mean[i:i + 1], cov[i:i + 1], z[i:i + 1], *args)
+               for i in range(len(cases))]
     expected = {"good": 0, **EXPECTED_STATUS[name]}
     assert dict(zip(cases, stacked[2].tolist())) == expected
     assert [int(one[2][0]) for one in singles] == stacked[2].tolist()
