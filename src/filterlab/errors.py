@@ -1,27 +1,5 @@
-"""Exception types shared across the library."""
+"""The library's exception type."""
 
 
 class NumericalError(RuntimeError):
-    """Linear-algebra or consistency failure on otherwise valid inputs."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative root search ran out of iterations."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
-
-
-class CovarianceCorrectionError(NumericalError):
-    """Rank-one covariance correction has a non-positive denominator."""
-
-    def __init__(self, denominator: float):
-        super().__init__(
-            f"covariance correction denominator {denominator:.6g} is not positive"
-        )
-        self.denominator = denominator
-
-
-class CalibrationError(RuntimeError):
-    """Mixing-parameter calibration produced no finite residual."""
+    """Linear-algebra, root-search or calibration failure on otherwise valid inputs."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import chi_square_quantile
+from .specfun import inv_reg_lower_inc_gamma
 
 
 @dataclass
@@ -34,8 +34,8 @@ def consistency_interval(N: int, L: int, s: float):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     dof = N * L
     return (
-        chi_square_quantile(dof, s / 2.0) / N,
-        chi_square_quantile(dof, 1.0 - s / 2.0) / N,
+        2.0 * inv_reg_lower_inc_gamma(0.5 * dof, s / 2.0) / N,
+        2.0 * inv_reg_lower_inc_gamma(0.5 * dof, 1.0 - s / 2.0) / N,
     )
 
 

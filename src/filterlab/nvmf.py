@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, CovarianceCorrectionError
+from .errors import NumericalError
 from .specfun import (
     RngStream,
     inv_reg_lower_inc_gamma,
     is_integer,
-    log_gamma,
     sample_inverse_gamma,
 )
 from .statespace import (
@@ -146,7 +145,8 @@ def covariance_correction(P_inf: np.ndarray, u: np.ndarray) -> np.ndarray:
     P_inf = np.asarray(P_inf, dtype=float)
     pu, denom = _correction_denominator(P_inf, np.asarray(u, dtype=float))
     if not np.all(denom > 0.0):
-        raise CovarianceCorrectionError(float(np.min(denom)))
+        raise NumericalError(f"covariance correction denominator {float(np.min(denom)):.6g} "
+                             "is not positive")
     return _corrected(P_inf, pu, denom)
 
 
@@ -300,8 +300,8 @@ def nvm_t_log_density(v, mixing: InverseGammaMixing, Rbar) -> float:
     # log det Sigma = m log(scale) + log det Rbar, and det C^-1 = det Rbar^(-1/2).
     logdet = m * math.log(scale) - 2.0 * float(np.sum(np.log(np.diag(c_inv))))
     return (
-        log_gamma((nu + m) / 2.0)
-        - log_gamma(nu / 2.0)
+        math.lgamma((nu + m) / 2.0)
+        - math.lgamma(nu / 2.0)
         - 0.5 * m * math.log(math.pi * nu)
         - 0.5 * logdet
         - 0.5 * (nu + m) * math.log1p(quad / nu)
@@ -366,7 +366,7 @@ def calibrate_mixing(r_out: float, rho: float, r_regular: float, M: int,
         signed_residuals[i], betas[i] = evaluate(alpha)
     finite = np.isfinite(signed_residuals)
     if not np.any(finite):
-        raise CalibrationError("all calibration residuals were non-finite")
+        raise NumericalError("all calibration residuals were non-finite")
 
     abs_res = np.where(finite, np.abs(signed_residuals), np.inf)
     best = int(np.argmin(abs_res))

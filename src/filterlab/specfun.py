@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import NumericalError
 from .statespace import indefinite
 
 _EPS = 2.220446049250313e-16
@@ -34,13 +34,6 @@ def draw_count(size) -> int:
     if size is not None and not (is_integer(size) and size >= 0):
         raise ValueError(f"size must be None or a non-negative integer, got {size!r}")
     return 1 if size is None else int(size)
-
-
-def log_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0."""
-    if not a > 0.0:
-        raise ValueError(f"log_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
 
 
 def _lower_series(a: float, x: float) -> float:
@@ -117,12 +110,12 @@ def inv_reg_lower_inc_gamma(a: float, p: float) -> float:
         hi *= 2.0
         it += 1
         if it > 1100:
-            raise ConvergenceError("upper bracket search failed", it)
+            raise NumericalError(f"upper bracket search failed (after {it} iterations)")
     while lo > 0.0 and reg_lower_inc_gamma(a, lo) > p:
         lo *= 0.5
         it += 1
         if it > 2200:
-            raise ConvergenceError("lower bracket search failed", it)
+            raise NumericalError(f"lower bracket search failed (after {it} iterations)")
 
     x = min(max(x, lo), hi)
     lgam = math.lgamma(a)
@@ -143,14 +136,8 @@ def inv_reg_lower_inc_gamma(a: float, p: float) -> float:
         if abs(x_new - x) <= 4.0 * _EPS * x:
             return x_new
         x = x_new
-    raise ConvergenceError("incomplete gamma inversion did not converge", _MAX_ROOT_ITER)
-
-
-def chi_square_quantile(dof: float, p: float) -> float:
-    """Left-tail quantile of the chi-square distribution."""
-    if not dof > 0.0:
-        raise ValueError(f"chi_square_quantile requires dof > 0, got {dof}")
-    return 2.0 * inv_reg_lower_inc_gamma(0.5 * dof, p)
+    raise NumericalError("incomplete gamma inversion did not converge "
+                         f"(after {_MAX_ROOT_ITER} iterations)")
 
 
 class RngStream:

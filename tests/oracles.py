@@ -3,7 +3,8 @@ measurement update in information form, which solves through the posterior
 information matrix P^-1 + H' R^-1 H rather than through the innovation
 covariance the library's kalman_step uses; the NVMF closed forms zeta, the
 log posterior and u written directly in the state and measurement, where
-nvmf_batch evaluates them in its whitened eigenbasis; and the Monte Carlo
+nvmf_batch evaluates them in its whitened eigenbasis; the exact one-step
+posterior that NVMF approximates, by quadrature; and the Monte Carlo
 loop with one public batched kernel per filter, which the harness's stacked
 loop must equal bit for bit."""
 
@@ -95,6 +96,48 @@ def u_vector(x_hat, z, H, Rbar, phi_val):
     c_inv = whitener(Rbar)
     resid = np.matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
     return np.matvec((c_inv @ H).T, np.matvec(c_inv, resid)) / phi_val[..., None]
+
+
+def exact_posterior(prior: GaussianBelief, z, model, mixing: InverseGammaMixing) -> GaussianBelief:
+    """Mean and covariance of the Bayes posterior of the state after one
+    measurement under NVMF's model: prior N(m, P), noise N(0, r Rbar) with
+    r ~ InvGamma(alpha, beta).
+
+    Given r the posterior is the Kalman posterior at R = r Rbar, and r is
+    weighted by N(v; 0, H P H' + r Rbar) times its inverse-gamma density.
+    With C = chol(Rbar), C^-1 H P H' C^-T = U diag(lam) U', B = P H' C^-T U
+    and nu = U' C^-1 v, the Kalman posterior at r is m + B w_r with
+    w_r = nu / (lam + r) and covariance P - B diag(1/(lam + r)) B', and the
+    weight is a product of 1-D Gaussians in nu_i of variance lam_i + r. So
+    the posterior mean is m + B E[w_r], and its covariance adds B Cov(w_r) B'
+    to E[P_r]. The expectations are trapezoid sums over t = log r on a grid
+    wide enough that the weight at both ends is below e^-40 of its peak.
+    """
+    wh = model.whitened[1]
+    lam, U = np.linalg.eigh(symmetrize(wh @ prior.cov @ wh.T))
+    nu = U.T @ model.whitened[0] @ (np.asarray(z, dtype=float) - model.H @ prior.mean)
+    basis = prior.cov @ wh.T @ U
+    alpha, beta = mixing.alpha, mixing.beta
+    # Below beta the density's exp(-beta / r) vanishes; above the largest of
+    # beta, lam and |nu|^2 the weight decays at least as r^-(alpha + M/2).
+    t = np.linspace(math.log(beta) - 40.0,
+                    math.log(max(beta, lam[-1], nu @ nu)) + 40.0 / (alpha + len(nu) / 2.0) + 10.0,
+                    20001)
+    r = np.exp(t)
+    shifted = lam + r[:, None]
+    log_weight = -alpha * t - beta / r - 0.5 * np.sum(np.log(shifted) + nu**2 / shifted, axis=1)
+    assert max(log_weight[0], log_weight[-1]) < log_weight.max() - 40.0
+    weight = np.exp(log_weight - log_weight.max())
+    weight /= np.trapezoid(weight, t)
+
+    def expect(f):   # f holds one value per grid point on its first axis
+        return np.trapezoid(weight * f.T, t).T
+
+    w = nu / shifted
+    mean_w = expect(w)
+    cov_w = expect(w[:, :, None] * w[:, None, :]) - np.outer(mean_w, mean_w)
+    cov = prior.cov - (basis * expect(1.0 / shifted)) @ basis.T + basis @ cov_w @ basis.T
+    return GaussianBelief(prior.mean + basis @ mean_w, symmetrize(cov))
 
 
 def run_trials_per_filter(config, trial_ids) -> Trials:

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from filterlab.errors import CovarianceCorrectionError, NumericalError
+from filterlab.errors import NumericalError
 from filterlab.kalman import kf_update
 from filterlab.nvmf import (
     InverseGammaMixing,
@@ -242,11 +242,10 @@ class TestCovarianceCorrection:
     def test_nonpositive_denominator_raises(self):
         P = np.eye(2)
         u = np.array([1.1, 0.0])
-        with pytest.raises(CovarianceCorrectionError) as exc:
+        with pytest.raises(NumericalError, match="denominator -0.21 is not positive"):
             covariance_correction(P, u)
-        assert exc.value.denominator < 0.0
         # a NaN u has no denominator to check
-        with pytest.raises(CovarianceCorrectionError):
+        with pytest.raises(NumericalError):
             covariance_correction(P, np.array([np.nan, 0.0]))
 
 
@@ -412,6 +411,13 @@ class TestCalibrateMixing:
         monkeypatch.setattr(nvmf, "inv_reg_lower_inc_gamma", counted)
         calibrate_mixing(10000, 0.01, 100, 2, n_samples=10_000, rng=RngStream(7))
         assert len(calls) == 451 + 12
+
+    def test_non_finite_residuals_raise_numerical_error(self, monkeypatch):
+        from filterlab import nvmf
+        monkeypatch.setattr(nvmf, "_expected_inverse_psi", lambda *args: math.nan)
+        with pytest.raises(NumericalError, match="all calibration residuals were non-finite"):
+            calibrate_mixing(100.0**2, 0.01, 100.0, 2, alpha_grid=[1.0, 2.0],
+                             n_samples=10_000, rng=RngStream(103))
 
     def test_domain(self):
         with pytest.raises(ValueError):

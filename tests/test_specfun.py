@@ -7,42 +7,17 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from filterlab.errors import ConvergenceError
+from filterlab import specfun
+from filterlab.errors import NumericalError
 from filterlab.specfun import (
     RngStream,
-    chi_square_quantile,
     inv_reg_lower_inc_gamma,
-    log_gamma,
     mvn_factor,
     reg_lower_inc_gamma,
     sample_gamma,
     sample_inverse_gamma,
     sample_mvn,
 )
-
-
-class TestLogGamma:
-    def test_integer_points(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        # ln sqrt(pi), high-precision value
-        assert abs(log_gamma(0.5) - 0.5723649429247001) < 1e-14
-
-    def test_against_reference_wide_range(self):
-        for a in [1e-3, 0.1, 0.7, 1.5, 20.0, 170.0, 1e4, 1e6]:
-            ref = scipy.special.gammaln(a)
-            tol = 1e-12 if abs(ref) < 1.0 else 1e-13 * abs(ref)
-            assert abs(log_gamma(a) - ref) <= tol
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.0)
-        with pytest.raises(ValueError):
-            log_gamma(math.nan)
 
 
 class TestRegLowerIncGamma:
@@ -114,16 +89,27 @@ class TestInvRegLowerIncGamma:
             with pytest.raises(ValueError):
                 inv_reg_lower_inc_gamma(bad_a, 0.5)
 
+    def test_no_convergence_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_ROOT_ITER", 1)
+        with pytest.raises(NumericalError, match=r"did not converge \(after 1 iterations\)"):
+            inv_reg_lower_inc_gamma(5.0, 0.5)
+
 
 class TestChiSquareQuantile:
+    """The chi-square quantile that metrics.consistency_interval computes."""
+
+    @staticmethod
+    def quantile(dof, p):
+        return 2 * inv_reg_lower_inc_gamma(dof / 2, p)
+
     def test_two_dof_closed_form(self):
         for p in [0.025, 0.5, 0.975]:
-            assert abs(chi_square_quantile(2.0, p) - (-2.0 * math.log1p(-p))) < 1e-10
+            assert abs(self.quantile(2.0, p) - (-2.0 * math.log1p(-p))) < 1e-10
 
     def test_known_values(self):
         # frozen from numeric CDF inversion
-        assert abs(chi_square_quantile(2.0, 0.975) - 7.377758908227871) < 1e-9
-        assert abs(chi_square_quantile(4.0, 0.5) - 3.3566939800333227) < 1e-9
+        assert abs(self.quantile(2.0, 0.975) - 7.377758908227871) < 1e-9
+        assert abs(self.quantile(4.0, 0.5) - 3.3566939800333227) < 1e-9
 
     def test_against_scipy(self):
         rng = np.random.default_rng(3)
@@ -131,12 +117,12 @@ class TestChiSquareQuantile:
             dof = rng.uniform(0.5, 900.0)
             p = rng.uniform(0.001, 0.999)
             ref = scipy.stats.chi2.ppf(p, dof)
-            assert abs(chi_square_quantile(dof, p) - ref) < 1e-8 * max(1.0, ref)
+            assert abs(self.quantile(dof, p) - ref) < 1e-8 * max(1.0, ref)
 
     def test_domain(self):
         for bad_dof in [0.0, -2.0, math.nan]:
             with pytest.raises(ValueError):
-                chi_square_quantile(bad_dof, 0.5)
+                self.quantile(bad_dof, 0.5)
 
 
 class TestRngStream:
