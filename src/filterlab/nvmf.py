@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
+from .kalman import COND_LIMIT
 from .specfun import (
     RngStream,
     inv_reg_lower_inc_gamma,
@@ -40,7 +41,6 @@ from .statespace import (
     Failure,
     GaussianBelief,
     LinearModel,
-    identity,
     lapack,
     mark_failed,
     mark_non_finite,
@@ -54,10 +54,6 @@ from .statespace import (
 # falls back to the uncorrected covariance (flagged in the diagnostics).
 DENOMINATOR_FLOOR = 1e-10
 _MONOTONICITY_TOL = 1e-9
-# The Sherman-Morrison identity audit is only meaningful away from the
-# degenerate region; below this denominator it is skipped.
-_AUDIT_DENOM_MIN = 1e-6
-_AUDIT_TOL = 1e-6
 
 
 @dataclass
@@ -182,16 +178,26 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     state; the Kalman covariance there is P_inf = P - B diag(1/(lam + psi)) B',
     and u = -(C^-1 H)' U (psi w) / phi.
 
+    A row fails at the first check it fails: a Cholesky factor of P
+    (NOT_POSITIVE_DEFINITE), a finite z and eigendecomposition (NON_FINITE);
+    at each EM step, lam + psi > 0 (NOT_POSITIVE_DEFINITE), a finite log
+    posterior (NON_FINITE) and no decrease beyond tolerance
+    (EM_NOT_MONOTONE); then (lam_max + psi) / psi at the final psi within
+    kalman.COND_LIMIT (ILL_CONDITIONED), since the covariance form loses
+    about eps times that ratio of a measured variance, and for a PSD P the
+    ratio bounds the whitened innovation covariance's condition number,
+    KF's test; last, a finite output (NON_FINITE).
+
     Returns (mean, cov, status, NvmfDiagnostics of per-row arrays).
     """
     H = model.H
-    c_inv, wh, wh_info = model.whitened
-    N, n = mean.shape
+    c_inv, wh = model.whitened
+    N = mean.shape[0]
     m = H.shape[0]
     status = np.zeros(N, dtype=np.int8)
 
-    p_chol = rowwise(status, Failure.NOT_POSITIVE_DEFINITE, lapack.cholesky_lo, cov)
-    p_chol_inv = rowwise(status, Failure.NON_FINITE, lapack.inv, p_chol)
+    # P's Cholesky factor is needed only as the check that P is positive definite.
+    rowwise(status, Failure.NOT_POSITIVE_DEFINITE, lapack.cholesky_lo, cov)
     mark_non_finite(status, z)
     whp = wh @ cov
     lam, U = rowwise(status, Failure.NON_FINITE, lapack.eigh_lo, whp @ wh.T)
@@ -239,6 +245,7 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
 
     # Each row's trace ends at its last iteration; its last pass ran at its
     # final psi, so w, psi_w, zeta_x and shifted = lam + psi are final.
+    mark_failed(status, shifted[:, -1] / COND_LIMIT > psi_x, Failure.ILL_CONDITIONED)
     trace[np.arange(config.max_iterations + 1) > iterations[:, None]] = np.nan
     x_out = mean + np.matvec(basis, w)
     p_inf = symmetrize(cov - (basis / shifted[:, None, :]) @ basis.swapaxes(-1, -2))
@@ -252,17 +259,6 @@ def nvmf_batch(mean, cov, z, model: LinearModel, mixing: InverseGammaMixing,
     if np.count_nonzero(skip):
         pu, denom_used = np.where(skip[:, None], 0.0, pu), np.where(skip, 1.0, denom)
     cov_out = _corrected(p_inf, pu, denom_used)
-
-    # The corrected covariance must invert the information-form expression
-    # P_inf^-1 - u u'; P_inf^-1 is available cheaply as
-    # P_pred^-1 + H' (psi Rbar)^-1 H = P_pred^-1 + wh' wh / psi.
-    audited = (status == 0) & (denom >= _AUDIT_DENOM_MIN)
-    if np.count_nonzero(audited):
-        p_info = p_chol_inv.swapaxes(-1, -2) @ p_chol_inv
-        p_inf_info = p_info + wh_info / psi_x[:, None, None]
-        resid = (p_inf_info - u[:, :, None] * u[:, None, :]) @ cov_out - identity(n)
-        violated = (resid * resid).sum(axis=(-2, -1)) > _AUDIT_TOL**2 * n
-        mark_failed(status, audited & violated, Failure.CORRECTION_IDENTITY)
     mark_non_finite(status, x_out, cov_out)
 
     diagnostics = NvmfDiagnostics(

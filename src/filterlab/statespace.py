@@ -32,7 +32,6 @@ class Failure(enum.IntEnum):
     NOT_POSITIVE_DEFINITE = 1
     ILL_CONDITIONED = 2
     EM_NOT_MONOTONE = 3
-    CORRECTION_IDENTITY = 4
     NON_FINITE = 5
 
 
@@ -193,12 +192,11 @@ class LinearModel:
     @cached_property
     def whitened(self):
         """The fixed factors of Rbar that every NVMF update applies: C^-1
-        for C = chol(Rbar), the whitened measurement matrix C^-1 H, and its
-        information (C^-1 H)' C^-1 H. Computed on first use and kept, so a
-        model must not be changed after construction."""
+        for C = chol(Rbar) and the whitened measurement matrix C^-1 H.
+        Computed on first use and kept, so a model must not be changed
+        after construction."""
         c_inv = whitener(self.Rbar)
-        wh = c_inv @ self.H
-        return c_inv, wh, wh.T @ wh
+        return c_inv, c_inv @ self.H
 
     @property
     def meas_dim(self) -> int:

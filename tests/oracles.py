@@ -3,13 +3,15 @@ measurement update in information form, which solves through the posterior
 information matrix P^-1 + H' R^-1 H rather than through the innovation
 covariance the library's kalman_step uses; the NVMF closed forms zeta, the
 log posterior and u written directly in the state and measurement, where
-nvmf_batch evaluates them in its whitened eigenbasis; the exact one-step
+nvmf_batch evaluates them in its whitened eigenbasis; NVMF's corrected
+covariance in information form at 50 digits; the exact one-step
 posterior that NVMF approximates, by quadrature; and the Monte Carlo
 loop with one public batched kernel per filter, which the harness's stacked
 loop must equal bit for bit."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from filterlab.baselines import kfor_batch, pdaf_batch
@@ -96,6 +98,27 @@ def u_vector(x_hat, z, H, Rbar, phi_val):
     c_inv = whitener(Rbar)
     resid = np.matvec(H, np.asarray(x_hat, dtype=float)) - np.asarray(z, dtype=float)
     return np.matvec((c_inv @ H).T, np.matvec(c_inv, resid)) / phi_val[..., None]
+
+
+def nvmf_information_cov(prior: GaussianBelief, z, model, mixing: InverseGammaMixing,
+                         psi_val: float):
+    """NVMF's corrected covariance at noise scale psi_val, (P^-1 + H' (psi
+    Rbar)^-1 H - u u')^-1, evaluated in 50-digit arithmetic as an mpmath
+    matrix: the information form, which loses nothing to cancellation when
+    P is diffuse. u = H' (phi Rbar)^-1 (H x - z) at the MAP state x for
+    psi_val, and phi at that state's zeta."""
+    with mpmath.workdps(50):
+        mat = lambda a: mpmath.matrix(np.asarray(a, dtype=float).tolist())
+        H, x, z = mat(model.H), mat(prior.mean), mat(z)
+        rbar_inv, p_inv = mat(model.Rbar) ** -1, mat(prior.cov) ** -1
+        psi_mp = mpmath.mpf(float(psi_val))
+        info = p_inv + H.T * rbar_inv * H / psi_mp
+        x_map = info ** -1 * (p_inv * x + H.T * rbar_inv * z / psi_mp)
+        resid = H * x_map - z
+        zeta_mp = (resid.T * rbar_inv * resid)[0] / 2
+        phi_mp = (zeta_mp + mixing.beta) / mpmath.sqrt(H.rows / mpmath.mpf(2) + mixing.alpha)
+        u = H.T * rbar_inv * resid / phi_mp
+        return (info - u * u.T) ** -1
 
 
 def exact_posterior(prior: GaussianBelief, z, model, mixing: InverseGammaMixing) -> GaussianBelief:

@@ -2,6 +2,9 @@
 bit for bit, a bad row fails alone, and the public updates share one
 contract for bad input."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from filterlab.kalman import kf_batch, kf_update
 from filterlab.nvmf import nvmf_batch, nvmf_update
 from filterlab.statespace import GaussianBelief, predict, predict_batch
 
-from oracles import kf_information_update
+from oracles import kf_information_update, nvmf_information_cov
 
 CFG = ScenarioConfig(noise="t")
 MODEL = CFG.model()
@@ -157,25 +160,27 @@ def _failure_cases():
         "overflowing_innovation": (np.array([-1.7e308, 0.0, 0.0, 0.0]), P,
                                    np.array([1.7e308, 1.0])),
         "huge_z": (x, P, np.array([1e200, 1e200])),
-        # overflows inside NVMF, whose correction audit then fails the row;
-        # the Kalman family updates it
+        # NVMF's (lam_max + psi) / psi far exceeds COND_LIMIT, so it fails
+        # the row as ill conditioned; the Kalman family's S is well
+        # conditioned, so it updates it
         "huge_cov": (x, 1e300 * P, z),
     }
 
 
 # Each kernel's status per case: the first check a row fails decides it.
 # KF, KFOR and PDAF test S before the output, so an indefinite P outranks a
-# NaN z. NVMF tests P's Cholesky factor, then z, then each EM step. A P with
-# an infinite entry passes the factorisation but has NaN eigenvalues, which
-# fail the EM's definiteness test unless a NaN z failed the row first. No
-# case may warn: the suite turns a RuntimeWarning into an error.
+# NaN z. NVMF tests P's Cholesky factor, then z, then each EM step, then the
+# final step's conditioning. A P with an infinite entry passes the
+# factorisation but has NaN eigenvalues, which fail the EM's definiteness
+# test unless a NaN z failed the row first. No case may warn: the suite
+# turns a RuntimeWarning into an error.
 EXPECTED_STATUS = {
     "kf": {"nan_z": 5, "indefinite": 2, "nan_z+indefinite": 2, "inf_cov": 2,
            "nan_z+inf_cov": 2, "ill_conditioned": 2, "overflowing_innovation": 5, "huge_z": 0,
            "huge_cov": 0},
     "nvmf": {"nan_z": 5, "indefinite": 1, "nan_z+indefinite": 1, "inf_cov": 1,
-             "nan_z+inf_cov": 5, "ill_conditioned": 4, "overflowing_innovation": 1,
-             "huge_z": 5, "huge_cov": 4},
+             "nan_z+inf_cov": 5, "ill_conditioned": 2, "overflowing_innovation": 1,
+             "huge_z": 5, "huge_cov": 2},
 }
 EXPECTED_STATUS["pdaf"] = EXPECTED_STATUS["kfor"] = EXPECTED_STATUS["kf"]
 
@@ -242,3 +247,45 @@ def test_nvmf_overflowing_residual_raises_numerical_error():
     prior = GaussianBelief(np.zeros(4), 50.0 * np.eye(4))
     with pytest.raises(NumericalError):
         nvmf_update(prior, np.array([1e200, 1e200]), MODEL, MIXING, NVMF)
+
+
+def _eigenbasis_error(cov, ref):
+    """max |V' (cov - ref) V|_ij / sqrt(d_i d_j) over ref = V diag(d) V', an
+    mpmath matrix: the error relative to each variance of ref's principal
+    axes, however far apart they are."""
+    with mpmath.workdps(50):
+        d, V = mpmath.eigsy(ref)
+        err = V.T * (mpmath.matrix(cov.tolist()) - ref) * V
+        return max(float(abs(err[i, j]) / mpmath.sqrt(d[i] * d[j]))
+                   for i in range(err.rows) for j in range(err.cols))
+
+
+def _diffuse(s):
+    """A good row of _failure_cases() with its prior covariance scaled by s."""
+    x, P, z = _failure_cases()["good"]
+    return x, s * P, z
+
+
+# Measured eigenbasis errors against the 50-digit reference: 3.9e-16 at
+# s = 1, 2.3e-13 at 1e3, 3.9e-10 at 1e6, 4.2e-7 at 1e9 and 5.8e-6 at 1e10,
+# 17x inside the bound. (lam_max + psi) / psi is 1.4e10 at s = 1e10.
+@pytest.mark.parametrize("s", [1.0, 1e3, 1e6, 1e9, 1e10])
+def test_nvmf_updates_a_diffuse_prior_accurately(s):
+    x, P, z = _diffuse(s)
+    _, cov, status, diag = nvmf_batch(x[None], P[None], z[None], MODEL, MIXING, NVMF)
+    assert status.tolist() == [0]
+    ref = nvmf_information_cov(GaussianBelief(x, P), z, MODEL, MIXING, diag.final_psi[0])
+    assert _eigenbasis_error(cov[0], ref) < 1e-4
+
+
+# (lam_max + psi) / psi is 1.4e12 at s = 1e12, just past COND_LIMIT, where
+# the eigenbasis error has grown to 1.3e-4; at 1e16 it is 3 (a position
+# variance of 128 where the reference has 50).
+@pytest.mark.parametrize("s", [1e12, 1e16, 1e300])
+def test_nvmf_fails_a_prior_lost_to_cancellation(s):
+    x, P, z = _diffuse(s)
+    assert nvmf_batch(x[None], P[None], z[None], MODEL, MIXING, NVMF)[2].tolist() == [2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="ill conditioned"):
+            nvmf_update(GaussianBelief(x, P), z, MODEL, MIXING, NVMF)

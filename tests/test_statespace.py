@@ -130,10 +130,9 @@ class TestLinearModel:
         first = LinearModel(F, Q, H, np.eye(2))
         second = LinearModel(F, Q, H, [[2.0, 0.6], [0.6, 1.0]])
         for model in (first, second):
-            c_inv, wh, wh_info = model.whitened
+            c_inv, wh = model.whitened
             assert np.array_equal(c_inv, whitener(model.Rbar))
             assert np.array_equal(wh, c_inv @ H)
-            assert np.array_equal(wh_info, wh.T @ wh)
             assert model.whitened is model.whitened   # computed once
         assert not np.array_equal(first.whitened[0], second.whitened[0])
         # the whitener applies Rbar^-1: |C^-1 r|^2 / 2 is zeta
