@@ -11,7 +11,6 @@ loop must equal bit for bit."""
 
 import math
 
-import mpmath
 import numpy as np
 
 from filterlab.baselines import kfor_batch, pdaf_batch
@@ -107,6 +106,8 @@ def nvmf_information_cov(prior: GaussianBelief, z, model, mixing: InverseGammaMi
     matrix: the information form, which loses nothing to cancellation when
     P is diffuse. u = H' (phi Rbar)^-1 (H x - z) at the MAP state x for
     psi_val, and phi at that state's zeta."""
+    import mpmath
+
     with mpmath.workdps(50):
         mat = lambda a: mpmath.matrix(np.asarray(a, dtype=float).tolist())
         H, x, z = mat(model.H), mat(prior.mean), mat(z)

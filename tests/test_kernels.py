@@ -2,9 +2,6 @@
 bit for bit, a bad row fails alone, and the public updates share one
 contract for bad input."""
 
-import warnings
-
-import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +10,7 @@ from filterlab.errors import NumericalError
 from filterlab.harness import ScenarioConfig
 from filterlab.kalman import kf_batch, kf_update
 from filterlab.nvmf import nvmf_batch, nvmf_update
-from filterlab.statespace import GaussianBelief, predict, predict_batch
+from filterlab.statespace import Failure, GaussianBelief, predict, predict_batch
 
 from oracles import kf_information_update, nvmf_information_cov
 
@@ -160,9 +157,14 @@ def _failure_cases():
         "overflowing_innovation": (np.array([-1.7e308, 0.0, 0.0, 0.0]), P,
                                    np.array([1.7e308, 1.0])),
         "huge_z": (x, P, np.array([1e200, 1e200])),
-        # NVMF's (lam_max + psi) / psi far exceeds COND_LIMIT, so it fails
-        # the row as ill conditioned; the Kalman family's S is well
-        # conditioned, so it updates it
+        # A diffuse prior: NVMF's (lam_max + psi) / psi is 1.4e12 at 1e12 P,
+        # just past COND_LIMIT, where its covariance's eigenbasis error
+        # against the 50-digit reference has grown to 1.3e-4; at 1e16 P it is
+        # 3 (a position variance of 128 where the reference has 50). NVMF
+        # fails these rows as ill conditioned; the Kalman family's S is well
+        # conditioned, so it updates them.
+        "diffuse_1e12": (x, 1e12 * P, z),
+        "diffuse_1e16": (x, 1e16 * P, z),
         "huge_cov": (x, 1e300 * P, z),
     }
 
@@ -177,10 +179,10 @@ def _failure_cases():
 EXPECTED_STATUS = {
     "kf": {"nan_z": 5, "indefinite": 2, "nan_z+indefinite": 2, "inf_cov": 2,
            "nan_z+inf_cov": 2, "ill_conditioned": 2, "overflowing_innovation": 5, "huge_z": 0,
-           "huge_cov": 0},
+           "diffuse_1e12": 0, "diffuse_1e16": 0, "huge_cov": 0},
     "nvmf": {"nan_z": 5, "indefinite": 1, "nan_z+indefinite": 1, "inf_cov": 1,
              "nan_z+inf_cov": 5, "ill_conditioned": 2, "overflowing_innovation": 1,
-             "huge_z": 5, "huge_cov": 2},
+             "huge_z": 5, "diffuse_1e12": 2, "diffuse_1e16": 2, "huge_cov": 2},
 }
 EXPECTED_STATUS["pdaf"] = EXPECTED_STATUS["kfor"] = EXPECTED_STATUS["kf"]
 
@@ -234,12 +236,16 @@ def test_kalman_family_rejects_ill_conditioned_innovation_cov(update):
 def test_public_update_never_warns(name):
     # No np.errstate: under the suite's error::RuntimeWarning a warning from
     # the kernel's arithmetic on a bad row would escape before NumericalError.
+    # Its message names the row's failure, or the non-finite measurement the
+    # update refuses before it calls the kernel.
     single = FILTERS[name][2]
     for case, (x, P, z) in _failure_cases().items():
         if case == "good" or EXPECTED_STATUS[name][case] == 0:
             assert np.isfinite(single(GaussianBelief(x, P), z).mean).all(), case
         else:
-            with pytest.raises(NumericalError):
+            cause = (Failure(EXPECTED_STATUS[name][case]).name.lower().replace("_", " ")
+                     if np.isfinite(z).all() else "measurement is not finite")
+            with pytest.raises(NumericalError, match=cause):
                 single(GaussianBelief(x, P), z)
 
 
@@ -253,6 +259,8 @@ def _eigenbasis_error(cov, ref):
     """max |V' (cov - ref) V|_ij / sqrt(d_i d_j) over ref = V diag(d) V', an
     mpmath matrix: the error relative to each variance of ref's principal
     axes, however far apart they are."""
+    import mpmath
+
     with mpmath.workdps(50):
         d, V = mpmath.eigsy(ref)
         err = V.T * (mpmath.matrix(cov.tolist()) - ref) * V
@@ -260,32 +268,15 @@ def _eigenbasis_error(cov, ref):
                    for i in range(err.rows) for j in range(err.cols))
 
 
-def _diffuse(s):
-    """A good row of _failure_cases() with its prior covariance scaled by s."""
-    x, P, z = _failure_cases()["good"]
-    return x, s * P, z
-
-
 # Measured eigenbasis errors against the 50-digit reference: 3.9e-16 at
 # s = 1, 2.3e-13 at 1e3, 3.9e-10 at 1e6, 4.2e-7 at 1e9 and 5.8e-6 at 1e10,
-# 17x inside the bound. (lam_max + psi) / psi is 1.4e10 at s = 1e10.
+# 17x inside the bound. (lam_max + psi) / psi is 1.4e10 at s = 1e10; the
+# diffuse rows of _failure_cases() take s on to where NVMF fails the row.
 @pytest.mark.parametrize("s", [1.0, 1e3, 1e6, 1e9, 1e10])
 def test_nvmf_updates_a_diffuse_prior_accurately(s):
-    x, P, z = _diffuse(s)
+    x, P, z = _failure_cases()["good"]
+    P = s * P
     _, cov, status, diag = nvmf_batch(x[None], P[None], z[None], MODEL, MIXING, NVMF)
     assert status.tolist() == [0]
     ref = nvmf_information_cov(GaussianBelief(x, P), z, MODEL, MIXING, diag.final_psi[0])
     assert _eigenbasis_error(cov[0], ref) < 1e-4
-
-
-# (lam_max + psi) / psi is 1.4e12 at s = 1e12, just past COND_LIMIT, where
-# the eigenbasis error has grown to 1.3e-4; at 1e16 it is 3 (a position
-# variance of 128 where the reference has 50).
-@pytest.mark.parametrize("s", [1e12, 1e16, 1e300])
-def test_nvmf_fails_a_prior_lost_to_cancellation(s):
-    x, P, z = _diffuse(s)
-    assert nvmf_batch(x[None], P[None], z[None], MODEL, MIXING, NVMF)[2].tolist() == [2]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match="ill conditioned"):
-            nvmf_update(GaussianBelief(x, P), z, MODEL, MIXING, NVMF)
