@@ -195,7 +195,8 @@ class Trials:
     (N, K) array (inf from a failed update on), failed and diverged (set by
     run_monte_carlo: failed, or out of the reference envelope) to (N,) flags.
     kf_cov_trace (K,) is the trace of every KF row's covariance (which does
-    not depend on the measurements), NaN from the last KF row's failure on."""
+    not depend on the measurements, and goes on after its row fails), NaN
+    from the update at which every KF row has failed."""
 
     trial_ids: np.ndarray
     squared_error: dict
@@ -266,17 +267,11 @@ def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
 STACK_ORDER = ("kf", "pdaf", "kfor", "nvmf")
 
 
-def _filter_rows(filter_idx: np.ndarray) -> dict:
-    """Each filter in STACK_ORDER mapped to its slice of a stack sorted by
-    filter, filter_idx giving each row's filter."""
-    bounds = np.searchsorted(filter_idx, np.arange(len(STACK_ORDER) + 1)).tolist()
-    return dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
-
-
 def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: KforConfig,
                   pdaf_config: PdafConfig, mixing: InverseGammaMixing, nvmf_config: NvmfConfig):
     """One measurement update of a stack of predicted beliefs sorted by
-    filter, rows mapping each filter in STACK_ORDER to its slice.
+    filter, rows mapping each filter in STACK_ORDER to its slice (KF's is
+    never empty).
 
     The KF, PDAF and KFOR rows go through one innovation_terms and one
     kalman_step, KFOR's rows at their inflated noise; PDAF's rows are then
@@ -288,16 +283,15 @@ def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: 
     status = np.empty(len(mean), dtype=np.int8)
     pdaf, kfor, nvmf = rows["pdaf"], rows["kfor"], rows["nvmf"]
     kalman = slice(0, kfor.stop)   # KF, PDAF and KFOR
-    if kalman.stop:
-        H, v, hp, hph = innovation_terms(mean[kalman], cov[kalman], z[kalman], model.H)
-        R_rows = np.repeat(R[None], kalman.stop, axis=0)
-        R_rows[kfor], _ = _kfor_noise(hph[kfor], v[kfor], R, kfor_config)
-        post_mean[kalman], post_cov[kalman], status[kalman], d, gv = kalman_step(
-            mean[kalman], cov[kalman], R_rows, H, v, hp, hph)
-        if pdaf.start < pdaf.stop:
-            post_mean[pdaf], post_cov[pdaf], status[pdaf], _ = _pdaf_reweight(
-                mean[pdaf], cov[pdaf], post_cov[pdaf], status[pdaf],
-                UpdateDiagnostics(*(a[pdaf] for a in vars(d).values())), gv[pdaf], pdaf_config)
+    H, v, hp, hph = innovation_terms(mean[kalman], cov[kalman], z[kalman], model.H)
+    R_rows = np.repeat(R[None], kalman.stop, axis=0)
+    R_rows[kfor], _ = _kfor_noise(hph[kfor], v[kfor], R, kfor_config)
+    post_mean[kalman], post_cov[kalman], status[kalman], d, gv = kalman_step(
+        mean[kalman], cov[kalman], R_rows, H, v, hp, hph)
+    if pdaf.start < pdaf.stop:
+        post_mean[pdaf], post_cov[pdaf], status[pdaf], _ = _pdaf_reweight(
+            mean[pdaf], cov[pdaf], post_cov[pdaf], status[pdaf],
+            UpdateDiagnostics(*(a[pdaf] for a in vars(d).values())), gv[pdaf], pdaf_config)
     if nvmf.start < nvmf.stop:
         post_mean[nvmf], post_cov[nvmf], status[nvmf], _ = nvmf_batch(
             mean[nvmf], cov[nvmf], z[nvmf], model, mixing, nvmf_config)
@@ -308,14 +302,17 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     """Deterministic trials: simulate each from its own stream, then advance
     every filter over the stack of trials one update at a time.
 
-    The beliefs of every filter on every trial are one stack, sorted by
-    filter in STACK_ORDER and by trial within a filter, so an update is one
-    predict_batch, one _update_stack and one error and NEES pass. A filter
-    that fails on a trial (a failed update, or a non-finite error or NEES)
-    is marked failed there from that update on, and its row drops out of
-    the stack; no other trial or filter is affected. Each row's numbers are
-    the same whatever other rows share its stack. The KF rows' covariance
-    trace, the NRMSE normaliser, is read off the stack after each update.
+    The beliefs of every filter on every trial are one stack, one slice per
+    filter in STACK_ORDER and trial j at offset j within it, so an update is
+    one predict_batch, one _update_stack and one error and NEES pass. Every
+    row stays in the stack for all K updates, since no row's numbers depend
+    on the other rows. A filter fails on a trial at the first update where
+    its row has a nonzero status or a non-finite error or NEES; that row
+    reads inf from there on, and no other trial or filter is affected. The
+    NRMSE normaliser is the covariance trace of the first KF row after each
+    update: KF's covariance never reads the mean or the measurement, so the
+    row carries it on after it fails, and it is NaN only once every KF row
+    has failed.
     """
     ids = np.array(list(trial_ids), dtype=np.int64)
     N = ids.size
@@ -339,41 +336,35 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     # The selected filters plus the reference filter, which always runs,
     # since its squared-error envelope defines track loss for every filter.
     names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]
-    filter_idx = np.repeat([i for i, f in enumerate(STACK_ORDER) if f in names], N)
+    bounds = np.cumsum([0] + [N * (f in names) for f in STACK_ORDER]).tolist()
+    rows = dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
     trial_idx = np.tile(np.arange(N), len(names))
     mean, cov = init_mean[trial_idx], init_cov[trial_idx]
     kernel_args = (model, R, config.kfor_config(), config.pdaf_config(), config.mixing(),
                    config.nvmf_config())
-    # Indexed by filter in STACK_ORDER, then by trial.
-    squared_error = np.full((len(STACK_ORDER), N, K), np.inf)
-    nees = np.full((len(STACK_ORDER), N, K), np.inf)
-    failed = np.zeros((len(STACK_ORDER), N), dtype=bool)
-    kf_cov_trace = np.full(K, np.nan)
+    # One row per stack row, one column per update.
+    status = np.empty((trial_idx.size, K), dtype=np.int8)
+    squared_error = np.empty((trial_idx.size, K))
+    nees = np.empty((trial_idx.size, K))
+    kf_cov_trace = np.empty(K)
 
-    rows = _filter_rows(filter_idx)
     with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
         for k in range(K):
-            if not filter_idx.size:
-                break
             mean, cov = predict_batch(mean, cov, model)
-            mean, cov, status = _update_stack(mean, cov, measurements[k, trial_idx], rows,
-                                              *kernel_args)
+            mean, cov, status[:, k] = _update_stack(mean, cov, measurements[k, trial_idx], rows,
+                                                    *kernel_args)
             err = mean - truth[k + 1, trial_idx]
-            se = np.vecdot(err, err)
-            ne = _nees(err, cov)
-            ok = (status == 0) & np.isfinite(se) & np.isfinite(ne)
-            if not ok.all():
-                failed[filter_idx[~ok], trial_idx[~ok]] = True
-                filter_idx, trial_idx, mean, cov, se, ne = (
-                    a[ok] for a in (filter_idx, trial_idx, mean, cov, se, ne))
-                rows = _filter_rows(filter_idx)
-            squared_error[filter_idx, trial_idx, k] = se
-            nees[filter_idx, trial_idx, k] = ne
-            if filter_idx.size and filter_idx[0] == 0:   # KF rows come first
-                kf_cov_trace[k] = np.trace(cov[0])
+            squared_error[:, k] = np.vecdot(err, err)
+            nees[:, k] = _nees(err, cov)
+            kf_cov_trace[k] = np.trace(cov[0])   # KF rows come first
 
-    return Trials(ids, *({f: a[STACK_ORDER.index(f)] for f in names}
-                         for a in (squared_error, nees, failed)), kf_cov_trace)
+    failed = np.logical_or.accumulate(
+        (status != 0) | ~np.isfinite(squared_error) | ~np.isfinite(nees), axis=1)
+    squared_error[failed] = np.inf
+    nees[failed] = np.inf
+    kf_cov_trace[failed[rows["kf"]].all(axis=0)] = np.nan
+    return Trials(ids, *({f: a[rows[f]] for f in names}
+                         for a in (squared_error, nees, failed[:, -1])), kf_cov_trace)
 
 
 def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:

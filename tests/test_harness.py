@@ -10,7 +10,7 @@ import pytest
 from filterlab import harness
 from filterlab.baselines import KforConfig, PdafConfig, _pdaf_reweight
 from filterlab.cli import main as cli_main
-from filterlab.kalman import kalman_step, pcrlb_recursion
+from filterlab.kalman import innovation_terms, kalman_step, pcrlb_recursion
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from filterlab.nvmf import InverseGammaMixing, NvmfConfig, calibrate_mixing
 from filterlab.harness import (
@@ -338,7 +338,7 @@ class TestFailureContract:
 
         monkeypatch.setattr(harness, "_pdaf_reweight", failing)
         trials = run_trials(cfg, range(4))
-        assert calls[5:] and set(calls[5:]) == {3}
+        assert calls == [4] * cfg.updates
         assert trials.failed["pdaf"].tolist() == [True, False, False, False]
         assert not trials.failed["kf"].any()
         bad_se, clean_se = trials.squared_error["pdaf"], clean.squared_error["pdaf"]
@@ -356,30 +356,56 @@ class TestFailureContract:
         summary, _ = run_monte_carlo(cfg)
         assert summary.lost_tracks["pdaf"] >= 1
 
-    def test_chunk_with_every_kf_row_failed_keeps_the_trace(self, monkeypatch):
-        # Fail every KF row of the second chunk at update k = 5: that chunk's
-        # trace is NaN from there on, and the merged trace is the clean one.
+    @pytest.mark.parametrize("failure", ["every_kf_status", "one_kf_innovation"])
+    def test_chunk_with_every_kf_row_failed_keeps_the_trace(self, monkeypatch, failure):
         cfg = small_config(trials=8)
         clean = run_trials(cfg, range(8))
         first = run_trials(cfg, range(4))
         calls = []
+        if failure == "one_kf_innovation":
+            # An inf innovation fails trial 0's KF row at update k = 5. The
+            # trace is read off that row, whose covariance goes on bit for
+            # bit, since it reads neither the mean nor the innovation.
+            def failing(mean, cov, *args):
+                out = innovation_terms(mean, cov, *args)
+                calls.append(len(mean))
+                if len(calls) == 5:
+                    out[1][0] = np.inf   # trial 0's KF row comes first
+                return out
 
-        def failing(mean, cov, *args):
-            out = kalman_step(mean, cov, *args)
-            calls.append(len(mean))
-            if len(calls) == 5:
-                out[2][:4] = 1   # the 4 KF rows come first
-            return out
+            monkeypatch.setattr(harness, "innovation_terms", failing)
+            trials = run_trials(cfg, range(4))
+            assert calls == [12] * cfg.updates
+            assert trials.failed["kf"].tolist() == [True, False, False, False]
+            assert trials.kf_cov_trace.tobytes() == clean.kf_cov_trace.tobytes()
+            kf_se = trials.squared_error["kf"][0]
+            assert np.array_equal(kf_se[:4], first.squared_error["kf"][0, :4])
+            assert np.all(np.isinf(kf_se[4:]))
+            for f in FILTER_ORDER:
+                others = slice(1, None) if f == "kf" else slice(None)
+                assert np.array_equal(trials.squared_error[f][others],
+                                      first.squared_error[f][others])
+                assert np.array_equal(trials.nees[f][others], first.nees[f][others])
+        else:
+            # Fail every KF row of the second chunk at update k = 5: that
+            # chunk's trace is NaN from there on, and the merged trace is
+            # the clean one.
+            def failing(mean, cov, *args):
+                out = kalman_step(mean, cov, *args)
+                calls.append(len(mean))
+                if len(calls) == 5:
+                    out[2][:4] = 1   # the 4 KF rows come first
+                return out
 
-        monkeypatch.setattr(harness, "kalman_step", failing)
-        second = run_trials(cfg, range(4, 8))
-        assert calls[0] == 12 and set(calls[5:]) == {8}
-        assert second.failed["kf"].all()
-        assert np.array_equal(second.kf_cov_trace[:4], clean.kf_cov_trace[:4])
-        assert np.all(np.isnan(second.kf_cov_trace[4:]))
-        for parts in ([first, second], [second, first]):
-            merged = Trials.concat(parts).kf_cov_trace
-            assert merged.tobytes() == clean.kf_cov_trace.tobytes()
+            monkeypatch.setattr(harness, "kalman_step", failing)
+            second = run_trials(cfg, range(4, 8))
+            assert calls == [12] * cfg.updates
+            assert second.failed["kf"].all()
+            assert np.array_equal(second.kf_cov_trace[:4], clean.kf_cov_trace[:4])
+            assert np.all(np.isnan(second.kf_cov_trace[4:]))
+            for parts in ([first, second], [second, first]):
+                merged = Trials.concat(parts).kf_cov_trace
+                assert merged.tobytes() == clean.kf_cov_trace.tobytes()
 
 
 def assert_same_trials(got: Trials, ref: Trials):
@@ -405,8 +431,8 @@ class TestStackedLoop:
 
     def test_failed_rows_equal_per_filter_loop(self):
         # A tiny measurement variance against a large process noise fails
-        # KF and KFOR on every trial, at different updates, so rows leave
-        # the stack while PDAF and NVMF go on.
+        # KF and KFOR on every trial, at different updates, so failed rows
+        # run on beside PDAF's and NVMF's.
         cfg = small_config(noise="gu", r_bar=1e-30, q=1.0, trials=12, updates=40)
         got = run_trials(cfg, range(12))
         assert got.failed["kf"].all() and got.failed["kfor"].all()
