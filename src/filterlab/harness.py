@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +35,19 @@ from .baselines import (
     kfor_update,
     pdaf_update,
 )
-from .kalman import UpdateDiagnostics, innovation_terms, kalman_step, kf_update, pcrlb_recursion
+from .kalman import (UpdateDiagnostics, innovation_terms, kalman_step, kf_batch, kf_update,
+                     pcrlb_recursion)
 from .metrics import consistency_interval, detect_divergence, RunSummary
 from .noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from .nvmf import InverseGammaMixing, NvmfConfig, nvmf_batch, nvmf_update
 from .specfun import RngStream, is_integer, sample_mvn
 from .statespace import (
+    Failure,
     LinearModel,
     cv_process_noise,
     cv_transition,
     lapack,
+    mark_failed,
     predict,
     predict_batch,
     two_point_init,
@@ -123,8 +127,10 @@ class ScenarioConfig:
         if self.noise == "t" and not self.alpha >= 0.05:
             raise ValueError("alpha must be at least 0.05 in the t regime")
         # Build what a run builds, so that no run rejects the configuration
-        # later (w, the gate and the clutter density are checked here). An
-        # overflow in Q reads as a non-finite Q, except T**3's.
+        # later (w, the gate and the clutter density are checked here), but
+        # for the one check run_monte_carlo keeps: that the reference KF
+        # (kf_reference, a K-update recursion) does not fail. An overflow
+        # in Q reads as a non-finite Q, except T**3's.
         try:
             with np.errstate(all="ignore"):
                 self.model()
@@ -158,6 +164,28 @@ class ScenarioConfig:
         # measurement covariance r_bar * I.
         gate_volume = math.pi * self.gate**2 * self.r_bar
         return 0.1 / gate_volume
+
+    @cached_property
+    def kf_reference(self):
+        """The matched KF's gain (K, n, m), covariance (K, n, n) and status
+        (K,) after each update, nonzero also where the NEES solve fails on
+        the covariance (numpy's NaN fill, whatever the error). Neither reads
+        a measurement, so this one recursion at N=1 with zero measurements
+        is every trial's, bit for bit. Computed on first use and kept, also
+        in a pickled copy, so a config must not change after its first run."""
+        model, z = self.model(), np.zeros((1, MEAS_DIM))
+        R = self.r_bar * np.eye(MEAS_DIM)
+        mean, cov = np.zeros((1, STATE_DIM)), two_point_init(z[0], z[0], self.T, R).cov[None]
+        steps = []
+        with np.errstate(all="ignore"):
+            for _ in range(self.updates):
+                mean, cov = predict_batch(mean, cov, model)
+                mean, cov, status, d = kf_batch(mean, cov, z, model.H, R)
+                steps.append((d.gain[0], cov[0], status[0]))
+            gain, cov, status = map(np.array, zip(*steps))
+            mark_failed(status, np.isnan(_nees(np.zeros((self.updates, STATE_DIM)), cov)),
+                        Failure.NOT_POSITIVE_DEFINITE)
+        return gain, cov, status
 
     def model(self) -> LinearModel:
         return LinearModel(
@@ -193,26 +221,20 @@ class Trials:
     """Per-update results of every filter over a stack of trials, row j
     being trial trial_ids[j]: squared_error and nees map each filter to an
     (N, K) array (inf from a failed update on), failed and diverged (set by
-    run_monte_carlo: failed, or out of the reference envelope) to (N,) flags.
-    kf_cov_trace (K,) is the trace of every KF row's covariance (which does
-    not depend on the measurements, and goes on after its row fails), NaN
-    from the update at which every KF row has failed."""
+    run_monte_carlo: failed, or out of the reference envelope) to (N,) flags."""
 
     trial_ids: np.ndarray
     squared_error: dict
     nees: dict
     failed: dict
-    kf_cov_trace: np.ndarray
     diverged: dict = field(default_factory=dict)
 
     @classmethod
     def concat(cls, parts) -> "Trials":
-        """One stack from consecutive chunks, rows in the order given. The
-        chunks' KF traces agree where defined, and fmax skips their NaN."""
+        """One stack from consecutive chunks, rows in the order given."""
         return cls(np.concatenate([p.trial_ids for p in parts]), *(
             {f: np.concatenate([getattr(p, attr)[f] for p in parts]) for f in parts[0].failed}
-            for attr in ("squared_error", "nees", "failed")),
-            np.fmax.reduce([p.kf_cov_trace for p in parts]))
+            for attr in ("squared_error", "nees", "failed")))
 
 
 def simulate_truth(config: ScenarioConfig, rng: RngStream):
@@ -262,18 +284,19 @@ def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.vecdot(err, lapack.solve(cov, err[..., None])[..., 0])
 
 
-# The filters' order in run_trials' stack: the Kalman family, which shares
-# one Kalman step, then NVMF.
-STACK_ORDER = ("kf", "pdaf", "kfor", "nvmf")
+# The filters' order in run_trials' stack of beliefs, which is not
+# FILTER_ORDER (the output's order) so that PDAF and KFOR, which share one
+# Kalman step, are one slice. KF is not in it: its rows carry means only,
+# against ScenarioConfig.kf_reference, and follow the stack's rows.
+STACK_ORDER = ("pdaf", "kfor", "nvmf")
 
 
 def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: KforConfig,
                   pdaf_config: PdafConfig, mixing: InverseGammaMixing, nvmf_config: NvmfConfig):
     """One measurement update of a stack of predicted beliefs sorted by
-    filter, rows mapping each filter in STACK_ORDER to its slice (KF's is
-    never empty).
+    filter, rows mapping each filter in STACK_ORDER to its slice.
 
-    The KF, PDAF and KFOR rows go through one innovation_terms and one
+    The PDAF and KFOR rows go through one innovation_terms and one
     kalman_step, KFOR's rows at their inflated noise; PDAF's rows are then
     reweighted, and the NVMF rows go through nvmf_batch. Each row's result
     is bit for bit that of its filter's public kernel.
@@ -282,7 +305,7 @@ def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: 
     post_mean, post_cov = np.empty_like(mean), np.empty_like(cov)
     status = np.empty(len(mean), dtype=np.int8)
     pdaf, kfor, nvmf = rows["pdaf"], rows["kfor"], rows["nvmf"]
-    kalman = slice(0, kfor.stop)   # KF, PDAF and KFOR
+    kalman = slice(0, kfor.stop)   # PDAF and KFOR
     H, v, hp, hph = innovation_terms(mean[kalman], cov[kalman], z[kalman], model.H)
     R_rows = np.repeat(R[None], kalman.stop, axis=0)
     R_rows[kfor], _ = _kfor_noise(hph[kfor], v[kfor], R, kfor_config)
@@ -298,21 +321,26 @@ def _update_stack(mean, cov, z, rows: dict, model: LinearModel, R, kfor_config: 
     return post_mean, post_cov, status
 
 
+def _kf_step(mean, z, gain, model: LinearModel):
+    """KF means predicted and updated with the gain every row shares,
+    broadcast by np.matvec, so each row is kalman_step's mean bit for bit."""
+    mean = np.matvec(model.F, mean)
+    return mean + np.matvec(gain, z - np.matvec(model.H, mean))
+
+
 def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     """Deterministic trials: simulate each from its own stream, then advance
     every filter over the stack of trials one update at a time.
 
-    The beliefs of every filter on every trial are one stack, one slice per
-    filter in STACK_ORDER and trial j at offset j within it, so an update is
-    one predict_batch, one _update_stack and one error and NEES pass. Every
-    row stays in the stack for all K updates, since no row's numbers depend
+    The beliefs of every filter but KF on every trial are one stack, one
+    slice per filter in STACK_ORDER and trial j at offset j within it, so an
+    update is one predict_batch, one _update_stack and one error and NEES
+    pass. KF's covariance reads no measurement, so KF rows follow the stack
+    with means only, against config.kf_reference's gain, covariance and
+    status. Every row stays for all K updates, since no row's numbers depend
     on the other rows. A filter fails on a trial at the first update where
     its row has a nonzero status or a non-finite error or NEES; that row
-    reads inf from there on, and no other trial or filter is affected. The
-    NRMSE normaliser is the covariance trace of the first KF row after each
-    update: KF's covariance never reads the mean or the measurement, so the
-    row carries it on after it fails, and it is NaN only once every KF row
-    has failed.
+    reads inf from there on, and no other trial or filter is affected.
     """
     ids = np.array(list(trial_ids), dtype=np.int64)
     N = ids.size
@@ -336,35 +364,39 @@ def run_trials(config: ScenarioConfig, trial_ids) -> Trials:
     # The selected filters plus the reference filter, which always runs,
     # since its squared-error envelope defines track loss for every filter.
     names = [f for f in FILTER_ORDER if f in set(config.filters) | {"kf"}]
-    bounds = np.cumsum([0] + [N * (f in names) for f in STACK_ORDER]).tolist()
-    rows = dict(zip(STACK_ORDER, map(slice, bounds, bounds[1:])))
+    order = STACK_ORDER + ("kf",)
+    bounds = np.cumsum([0] + [N * (f in names) for f in order]).tolist()
+    rows = dict(zip(order, map(slice, bounds, bounds[1:])))
+    kf, stack = rows["kf"], slice(0, rows["kf"].start)
     trial_idx = np.tile(np.arange(N), len(names))
-    mean, cov = init_mean[trial_idx], init_cov[trial_idx]
+    mean, cov = init_mean[trial_idx], init_cov[trial_idx[stack]]
+    kf_gain, kf_cov, kf_status = config.kf_reference
     kernel_args = (model, R, config.kfor_config(), config.pdaf_config(), config.mixing(),
                    config.nvmf_config())
-    # One row per stack row, one column per update.
+    # One row per filter and trial, one column per update.
     status = np.empty((trial_idx.size, K), dtype=np.int8)
+    status[kf] = kf_status
     squared_error = np.empty((trial_idx.size, K))
     nees = np.empty((trial_idx.size, K))
-    kf_cov_trace = np.empty(K)
 
     with np.errstate(all="ignore"):   # failed rows are recorded, not warned about
         for k in range(K):
-            mean, cov = predict_batch(mean, cov, model)
-            mean, cov, status[:, k] = _update_stack(mean, cov, measurements[k, trial_idx], rows,
-                                                    *kernel_args)
+            z = measurements[k, trial_idx]
+            mean[stack], cov = predict_batch(mean[stack], cov, model)
+            mean[stack], cov, status[stack, k] = _update_stack(mean[stack], cov, z[stack], rows,
+                                                               *kernel_args)
+            mean[kf] = _kf_step(mean[kf], z[kf], kf_gain[k], model)
             err = mean - truth[k + 1, trial_idx]
             squared_error[:, k] = np.vecdot(err, err)
-            nees[:, k] = _nees(err, cov)
-            kf_cov_trace[k] = np.trace(cov[0])   # KF rows come first
+            nees[stack, k] = _nees(err[stack], cov)
+            nees[kf, k] = _nees(err[kf], kf_cov[k])
 
     failed = np.logical_or.accumulate(
         (status != 0) | ~np.isfinite(squared_error) | ~np.isfinite(nees), axis=1)
     squared_error[failed] = np.inf
     nees[failed] = np.inf
-    kf_cov_trace[failed[rows["kf"]].all(axis=0)] = np.nan
     return Trials(ids, *({f: a[rows[f]] for f in names}
-                         for a in (squared_error, nees, failed[:, -1])), kf_cov_trace)
+                         for a in (squared_error, nees, failed[:, -1])))
 
 
 def run_trial(config: ScenarioConfig, trial_id: int) -> Trials:
@@ -378,8 +410,16 @@ def run_monte_carlo(config: ScenarioConfig):
     Returns the run summary and the trial stack. A trial is discarded from
     the error/consistency aggregates when any filter diverges on it (exceeds
     the reference envelope in steady state) or fails numerically; lost-track
-    counts are over all trials.
+    counts are over all trials. A configuration whose reference KF fails
+    (kf_reference) raises ValueError before any trial runs.
     """
+    # Computed here, so that each worker's pickled config carries it.
+    _, kf_cov, kf_status = config.kf_reference
+    if kf_status.any():
+        k = int(np.flatnonzero(kf_status)[0])
+        cause = Failure(kf_status[k]).name.lower().replace("_", " ")
+        raise ValueError(f"the reference KF fails at update {k + 1}: {cause}")
+    kf_cov_trace = np.trace(kf_cov, axis1=1, axis2=2)
     # Contiguous chunks of trial ids, one per worker; a trial's numbers do
     # not depend on its chunk, so neither does the output.
     chunks = [c for c in np.array_split(np.arange(config.trials), config.workers) if c.size]
@@ -393,7 +433,7 @@ def run_monte_carlo(config: ScenarioConfig):
     else:
         trials = run_trials(config, chunks[0])
 
-    # A trial whose KF row never failed defines every entry of kf_cov_trace.
+    # KF rows fail only on their data here, and the envelope needs one that did not.
     usable = ~trials.failed["kf"]
     if not usable.any():
         raise RuntimeError("all trials failed")
@@ -414,7 +454,7 @@ def run_monte_carlo(config: ScenarioConfig):
     for f in config.filters:
         if n_eff:
             nrmse_by_filter[f] = np.sqrt(trials.squared_error[f][kept].mean(axis=0)
-                                          / trials.kf_cov_trace)
+                                          / kf_cov_trace)
             anees_by_filter[f] = trials.nees[f][kept].mean(axis=0)
         else:
             nrmse_by_filter[f] = np.full(config.updates, np.nan)
@@ -431,7 +471,7 @@ def run_monte_carlo(config: ScenarioConfig):
         lost_tracks=lost,
         n_trials=config.trials,
         n_eff=n_eff,
-        kf_cov_trace=trials.kf_cov_trace,
+        kf_cov_trace=kf_cov_trace,
     )
     return summary, trials
 

@@ -98,8 +98,8 @@ def pcrlb_recursion(prior_info: np.ndarray, model: LinearModel, r: float) -> np.
     The prediction propagates through the covariance domain,
     J -> (F J^-1 F' + Q)^-1, and the update adds (1/r) H' Rbar^-1 H. The
     inverse of the result is the matched Kalman filter's error covariance,
-    so the tests check the error normalizer, the trace of the run's own KF
-    rows' covariance, against it.
+    so the tests check the error normalizer, the trace of the run's
+    reference KF covariance, against it.
     """
     if not r > 0.0:
         raise ValueError(f"pcrlb_recursion requires r > 0, got {r}")

@@ -164,10 +164,13 @@ def exact_posterior(prior: GaussianBelief, z, model, mixing: InverseGammaMixing)
     return GaussianBelief(prior.mean + basis @ mean_w, symmetrize(cov))
 
 
-def run_trials_per_filter(config, trial_ids) -> Trials:
+def run_trials_per_filter(config, trial_ids):
     """harness.run_trials as one loop per filter: each trial simulated by
     simulate_truth, then each filter's own stack of trials advanced by its
-    public kernel, with its own predict, error, NEES and failure pass."""
+    public kernel, with its own predict, error, NEES and failure pass.
+    Returns the Trials and, beside them, the (K,) covariance trace of the
+    first KF row still running after each update (NaN once none is), the
+    per-row KF recursion that the reference KF must equal."""
     ids = np.array(list(trial_ids), dtype=np.int64)
     N = ids.size
     K = config.updates
@@ -220,4 +223,4 @@ def run_trials_per_filter(config, trial_ids) -> Trials:
             if f == "kf" and rows.size:
                 kf_cov_trace[k] = np.trace(cov[0])
 
-    return Trials(ids, squared_error, nees, failed, kf_cov_trace)
+    return Trials(ids, squared_error, nees, failed), kf_cov_trace

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from filterlab import harness
 from filterlab.baselines import KforConfig, PdafConfig, _pdaf_reweight
 from filterlab.cli import main as cli_main
-from filterlab.kalman import innovation_terms, kalman_step, pcrlb_recursion
+from filterlab.kalman import kalman_step, kf_batch, pcrlb_recursion
 from filterlab.noise import GaussianNoise, GaussianUniformNoise, MultivariateTNoise, sample_noise
 from filterlab.nvmf import InverseGammaMixing, NvmfConfig, calibrate_mixing
 from filterlab.harness import (
@@ -24,7 +25,15 @@ from filterlab.harness import (
     simulate_truth,
 )
 from filterlab.specfun import RngStream, sample_gamma, sample_mvn
-from filterlab.statespace import cv_process_noise, cv_transition, solve_pd, two_point_init
+from filterlab.statespace import (
+    Failure,
+    cv_process_noise,
+    cv_transition,
+    predict_batch,
+    solve_pd,
+    two_point_init,
+)
+import oracles
 from oracles import run_trials_per_filter
 
 NAN = math.nan
@@ -49,6 +58,11 @@ def small_config(**kw):
     base = dict(trials=8, updates=30, k_star=8, seed=3, noise="gaussian")
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def reference_trace(cfg):
+    """The NRMSE normaliser: the trace of the reference KF's covariance."""
+    return np.trace(cfg.kf_reference[1], axis1=1, axis2=2)
 
 
 def information_trace(cfg):
@@ -279,31 +293,36 @@ class TestRunTrial:
 
     def test_kf_trace_matches_information_recursion(self):
         for q in (0.0, 1e-6, 1.0):
-            cfg = small_config(q=q, updates=40)
+            cfg = small_config(q=q, updates=40, trials=2)
             ref = information_trace(cfg)
-            trials = run_trials(cfg, range(2))
+            summary, trials = run_monte_carlo(cfg)
             assert not trials.failed["kf"].any()
-            assert np.all(np.abs(trials.kf_cov_trace - ref) <= 1e-12 * ref)
+            assert np.all(np.abs(summary.kf_cov_trace - ref) <= 1e-12 * ref)
 
     def test_kf_trace_is_the_runs_own_kf_covariance(self, monkeypatch):
-        # The NRMSE normaliser is the trace of every KF row's covariance in
-        # the run, bit for bit, whatever the row's measurements. The KF rows
-        # are the first trials-many rows of the one Kalman step.
+        # The NRMSE normaliser is the trace of the reference KF's covariance,
+        # which is every KF row's covariance, as the reference's gain is
+        # every KF row's gain, in a per-row kf_batch loop over the run's own
+        # measurements, bit for bit: neither reads a measurement.
         cfg = small_config(trials=4, updates=40, noise="t")
-        traces = []
+        calls = []
 
-        def recording(mean, cov, *args):
-            out = kalman_step(mean, cov, *args)
-            assert len(mean) == 12   # 4 trials each of KF, PDAF and KFOR
-            traces.append([np.trace(c) for c in out[1][:4]])
+        def recording(*args):
+            out = kf_batch(*args)
+            calls.append((out[1], out[3].gain))
             return out
 
-        monkeypatch.setattr(harness, "kalman_step", recording)
-        trials = run_trials(cfg, range(4))
-        assert not trials.failed["kf"].any()
-        assert len(traces) == cfg.updates
-        for k, row_traces in enumerate(traces):
-            assert np.array_equal(row_traces, np.full(4, trials.kf_cov_trace[k]))
+        monkeypatch.setattr(oracles, "kf_batch", recording)
+        summary, trials = run_monte_carlo(cfg)
+        _, trace = run_trials_per_filter(cfg, range(4))
+        gain, cov, status = cfg.kf_reference
+        assert not trials.failed["kf"].any() and not status.any()
+        assert len(calls) == cfg.updates
+        for k, (row_covs, row_gains) in enumerate(calls):
+            assert len(row_covs) == len(row_gains) == 4
+            assert all(c.tobytes() == cov[k].tobytes() for c in row_covs)
+            assert all(g.tobytes() == gain[k].tobytes() for g in row_gains)
+        assert summary.kf_cov_trace.tobytes() == trace.tobytes()
 
     def test_noiseless_limit_tracks_exactly(self):
         # squared error scales with the vanishing measurement variance; the
@@ -359,25 +378,26 @@ class TestFailureContract:
     @pytest.mark.parametrize("failure", ["every_kf_status", "one_kf_innovation"])
     def test_chunk_with_every_kf_row_failed_keeps_the_trace(self, monkeypatch, failure):
         cfg = small_config(trials=8)
-        clean = run_trials(cfg, range(8))
+        clean_summary, clean = run_monte_carlo(cfg)
         first = run_trials(cfg, range(4))
         calls = []
         if failure == "one_kf_innovation":
-            # An inf innovation fails trial 0's KF row at update k = 5. The
-            # trace is read off that row, whose covariance goes on bit for
-            # bit, since it reads neither the mean nor the innovation.
-            def failing(mean, cov, *args):
-                out = innovation_terms(mean, cov, *args)
+            # An inf measurement fails trial 0's KF row at update k = 5. KF
+            # rows read their measurements in _kf_step alone, so no other row
+            # moves, and the trace is the reference's, which reads none.
+            kf_step = harness._kf_step
+
+            def failing(mean, z, *args):
                 calls.append(len(mean))
                 if len(calls) == 5:
-                    out[1][0] = np.inf   # trial 0's KF row comes first
-                return out
+                    z = z.copy()
+                    z[0] = np.inf   # trial 0's KF row
+                return kf_step(mean, z, *args)
 
-            monkeypatch.setattr(harness, "innovation_terms", failing)
+            monkeypatch.setattr(harness, "_kf_step", failing)
             trials = run_trials(cfg, range(4))
-            assert calls == [12] * cfg.updates
+            assert calls == [4] * cfg.updates
             assert trials.failed["kf"].tolist() == [True, False, False, False]
-            assert trials.kf_cov_trace.tobytes() == clean.kf_cov_trace.tobytes()
             kf_se = trials.squared_error["kf"][0]
             assert np.array_equal(kf_se[:4], first.squared_error["kf"][0, :4])
             assert np.all(np.isinf(kf_se[4:]))
@@ -386,36 +406,62 @@ class TestFailureContract:
                 assert np.array_equal(trials.squared_error[f][others],
                                       first.squared_error[f][others])
                 assert np.array_equal(trials.nees[f][others], first.nees[f][others])
+            calls.clear()
+            summary, trials = run_monte_carlo(cfg)
+            assert trials.failed["kf"].tolist() == [True] + [False] * 7
+            assert summary.kf_cov_trace.tobytes() == clean_summary.kf_cov_trace.tobytes()
         else:
-            # Fail every KF row of the second chunk at update k = 5: that
-            # chunk's trace is NaN from there on, and the merged trace is
-            # the clean one.
-            def failing(mean, cov, *args):
-                out = kalman_step(mean, cov, *args)
-                calls.append(len(mean))
-                if len(calls) == 5:
-                    out[2][:4] = 1   # the 4 KF rows come first
-                return out
-
-            monkeypatch.setattr(harness, "kalman_step", failing)
-            second = run_trials(cfg, range(4, 8))
-            assert calls == [12] * cfg.updates
+            # Fail every KF row of the second chunk at update k = 5 through
+            # the reference's status, as a failing reference KF does. A
+            # chunk carries no trace, so the merge is a concatenation in
+            # either order, and run_monte_carlo refuses the configuration.
+            bad = small_config(trials=8)
+            bad.kf_reference[2][4] = Failure.ILL_CONDITIONED
+            second = run_trials(bad, range(4, 8))
             assert second.failed["kf"].all()
-            assert np.array_equal(second.kf_cov_trace[:4], clean.kf_cov_trace[:4])
-            assert np.all(np.isnan(second.kf_cov_trace[4:]))
+            kf_se = second.squared_error["kf"]
+            assert np.array_equal(kf_se[:, :4], clean.squared_error["kf"][4:, :4])
+            assert np.all(np.isinf(kf_se[:, 4:]))
+            for f in ("nvmf", "pdaf", "kfor"):
+                assert not second.failed[f].any()
+                assert np.array_equal(second.squared_error[f], clean.squared_error[f][4:])
+                assert np.array_equal(second.nees[f], clean.nees[f][4:])
             for parts in ([first, second], [second, first]):
-                merged = Trials.concat(parts).kf_cov_trace
-                assert merged.tobytes() == clean.kf_cov_trace.tobytes()
+                merged = Trials.concat(parts)
+                assert merged.trial_ids.tolist() == sum((p.trial_ids.tolist() for p in parts), [])
+                for f in FILTER_ORDER:
+                    for attr in ("squared_error", "nees", "failed"):
+                        assert getattr(merged, attr)[f].tobytes() == np.concatenate(
+                            [getattr(p, attr)[f] for p in parts]).tobytes()
+            with pytest.raises(ValueError, match="reference KF fails at update 5: ill conditioned"):
+                run_monte_carlo(bad)
+
+    def test_every_kf_row_failing_on_its_data_aborts_the_run(self, monkeypatch):
+        # "all trials failed" is left for KF rows that fail on their data,
+        # here an inf measurement on every trial at update k = 5.
+        cfg = small_config(trials=4)
+        kf_step = harness._kf_step
+        calls = []
+
+        def failing(mean, z, *args):
+            calls.append(len(mean))
+            return kf_step(mean, np.full_like(z, np.inf) if len(calls) == 5 else z, *args)
+
+        monkeypatch.setattr(harness, "_kf_step", failing)
+        with pytest.raises(RuntimeError, match="all trials failed"):
+            run_monte_carlo(cfg)
+        assert calls == [4] * cfg.updates
 
 
-def assert_same_trials(got: Trials, ref: Trials):
+def assert_same_trials(got: Trials, oracle):
+    """got equals the Trials of run_trials_per_filter's (Trials, trace)."""
+    ref, _ = oracle
     assert got.trial_ids.tolist() == ref.trial_ids.tolist()
     assert list(got.failed) == list(ref.failed)
     for f in ref.failed:
         assert got.squared_error[f].tobytes() == ref.squared_error[f].tobytes()
         assert got.nees[f].tobytes() == ref.nees[f].tobytes()
         assert got.failed[f].tolist() == ref.failed[f].tolist()
-    assert got.kf_cov_trace.tobytes() == ref.kf_cov_trace.tobytes()
 
 
 class TestStackedLoop:
@@ -427,7 +473,10 @@ class TestStackedLoop:
     def test_equals_per_filter_loop(self, noise, filters):
         cfg = small_config(noise=noise, filters=filters, updates=40)
         ids = [4, 0, 9, 2, 5]
-        assert_same_trials(run_trials(cfg, ids), run_trials_per_filter(cfg, ids))
+        oracle = run_trials_per_filter(cfg, ids)
+        assert_same_trials(run_trials(cfg, ids), oracle)
+        # The per-row KF recursion's trace is the reference's.
+        assert oracle[1].tobytes() == reference_trace(cfg).tobytes()
 
     def test_failed_rows_equal_per_filter_loop(self):
         # A tiny measurement variance against a large process noise fails
@@ -438,6 +487,60 @@ class TestStackedLoop:
         assert got.failed["kf"].all() and got.failed["kfor"].all()
         assert not got.failed["pdaf"].any() and not got.failed["nvmf"].any()
         assert_same_trials(got, run_trials_per_filter(cfg, range(12)))
+
+
+# FOUND 55's configuration: KF's covariance form loses the posterior
+# position variance, and the reference KF's covariance fails the NEES solve.
+REFERENCE_KF_FAILS = dict(T=878.0, q=1094.0, r_bar=1.9e-5, trials=3, updates=20, k_star=10)
+
+
+class TestReferenceKf:
+    """The matched KF's gain and covariance sequence, once per run."""
+
+    def test_no_stack_call_holds_a_kf_row(self, monkeypatch):
+        # KF rows carry means only: predict_batch sees the PDAF, KFOR and
+        # NVMF rows, kalman_step the PDAF and KFOR rows.
+        cfg = small_config(trials=5)
+        cfg.kf_reference   # computed before the kernels are wrapped
+        sizes = {"predict_batch": [], "kalman_step": []}
+        for name, kernel in (("predict_batch", predict_batch), ("kalman_step", kalman_step)):
+            def recording(mean, *args, kernel=kernel, name=name):
+                sizes[name].append(len(mean))
+                return kernel(mean, *args)
+
+            monkeypatch.setattr(harness, name, recording)
+        run_trials(cfg, range(5))
+        assert sizes == {"predict_batch": [15] * cfg.updates, "kalman_step": [10] * cfg.updates}
+
+    def test_reference_runs_once_per_run_on_one_row(self, monkeypatch):
+        calls = []
+
+        def counting(mean, *args):
+            calls.append(len(mean))
+            return kf_batch(mean, *args)
+
+        monkeypatch.setattr(harness, "kf_batch", counting)
+        cfg = small_config()
+        run_monte_carlo(cfg)
+        assert calls == [1] * cfg.updates
+
+    def test_pickled_config_carries_the_reference(self, monkeypatch):
+        # A worker's config arrives pickled and recomputes nothing.
+        cfg = small_config(workers=2)
+        reference = cfg.kf_reference
+        monkeypatch.setattr(harness, "kf_batch", None)
+        loaded = pickle.loads(pickle.dumps(cfg))
+        for got, want in zip(loaded.kf_reference, reference, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noise", ["gaussian", "gu", "t"])
+    def test_failing_reference_rejects_the_run_before_any_trial(self, monkeypatch, noise):
+        monkeypatch.setattr(harness, "run_trials", None)
+        cfg = ScenarioConfig(noise=noise, **REFERENCE_KF_FAILS)
+        with pytest.raises(ValueError) as exc:
+            run_monte_carlo(cfg)
+        assert str(exc.value) == "the reference KF fails at update 2: not positive definite"
+        assert cfg.kf_reference[2].tolist()[:2] == [0, Failure.NOT_POSITIVE_DEFINITE]
 
 
 class TestRunMonteCarlo:
@@ -483,7 +586,7 @@ class TestEmitCsv:
                              kf_cov_trace=np.empty(0))
         empty = Trials(np.empty(0, dtype=np.int64), {"kf": np.empty((0, 0))},
                        {"kf": np.empty((0, 0))}, {"kf": np.empty(0, dtype=bool)},
-                       np.empty(0), {"kf": np.empty(0, dtype=bool)})
+                       {"kf": np.empty(0, dtype=bool)})
         paths = emit_csv(empty, summary, tmp_path)
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert lines == ["k,kf_nrmse,kf_anees,interval_low,interval_high"]
@@ -598,6 +701,19 @@ class TestCli:
         ])
         assert code == 1
         assert "workers" in capsys.readouterr().err
+
+    def test_failing_reference_is_an_error_before_the_pool(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(REFERENCE_KF_FAILS))
+        code = cli_main(["run", "--config", str(cfg_file), "--workers", "3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the reference KF fails at update 2: not positive definite\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--epsilon", "1e-4"], ["--max-iters", "9"],
                                       ["--fixed-iters"], ["--clutter-per-gate", "0.2"]],

@@ -2,10 +2,12 @@
 
 The run fuzzer draws scenario parameters log-uniform over wide ranges in
 every noise regime and checks the robustness contract: an invalid
-configuration is rejected at construction, and a filter that fails on a
-trial is recorded in Trials.failed without aborting the run. The one abort
-a run may raise is "all trials failed", when the reference KF fails on every
-trial, since its squared-error envelope defines track loss.
+configuration is rejected at construction, or, when its reference KF (the
+matched KF's gain and covariance, which read no measurement) fails, by
+run_monte_carlo before any trial runs; and a filter that fails on a trial is
+recorded in Trials.failed without aborting the run. The one abort a run may
+raise is "all trials failed", when the KF rows fail on every trial on their
+data, since KF's squared-error envelope defines track loss.
 
 The unit-invariance property rescales every length of a scenario by a power
 of two and checks that the run's dimensionless outputs do not move.
@@ -51,18 +53,19 @@ def scenario(seed: int) -> dict:
 
 
 # KF's covariance-form update (I - G H) P loses the posterior position
-# variance when r_bar is about 1e-16 of the innovation covariance: the KF
-# covariance goes singular and the NEES solve fails on every KF row.
-ALL_KF_ROWS_FAIL = {"T": 878.0, "q": 1094.0, "r_bar": 1.9e-5, "r_out": 1e4, "beta": 99.84,
-                    "alpha": 0.9987, "p_out": 0.1, "rho": 0.01,
-                    "x0": (100.0, 100.0, 20.0, 10.0), "seed": 0}
+# variance when r_bar is about 1e-16 of the innovation covariance: the
+# reference KF's covariance goes singular and fails the NEES solve at
+# update 2, so run_monte_carlo rejects the configuration.
+REFERENCE_KF_FAILS = {"T": 878.0, "q": 1094.0, "r_bar": 1.9e-5, "r_out": 1e4, "beta": 99.84,
+                      "alpha": 0.9987, "p_out": 0.1, "rho": 0.01,
+                      "x0": (100.0, 100.0, 20.0, 10.0), "seed": 0}
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1).map(scenario))
-@example(dict(ALL_KF_ROWS_FAIL, noise="gaussian"))
-@example(dict(ALL_KF_ROWS_FAIL, noise="gu"))
-@example(dict(ALL_KF_ROWS_FAIL, noise="t"))
+@example(dict(REFERENCE_KF_FAILS, noise="gaussian"))
+@example(dict(REFERENCE_KF_FAILS, noise="gu"))
+@example(dict(REFERENCE_KF_FAILS, noise="t"))
 def test_a_run_completes_or_is_rejected_at_construction(fields):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -72,8 +75,14 @@ def test_a_run_completes_or_is_rejected_at_construction(fields):
             return
         try:
             summary, trials = run_monte_carlo(config)
+        except ValueError as exc:
+            failed = np.flatnonzero(config.kf_reference[2])
+            assert failed.size
+            assert str(exc).startswith(f"the reference KF fails at update {failed[0] + 1}: ")
+            return
         except RuntimeError as exc:
             assert str(exc) == "all trials failed"
+            assert not config.kf_reference[2].any()
             assert run_trials(config, range(TRIALS)).failed["kf"].all()
             return
     # A filter's row is finite throughout exactly when it did not fail there,
